@@ -552,6 +552,9 @@ Result Machine::run_scheduler() {
     const bool was_blocked = fetch_blocked_;
     const bool progress = step(now);
     ++sched_.event_steps;
+    if (check_invariants_each_step_)
+      for (const auto* core : {main_.get(), cp_.get(), ap_.get(), cmp_.get()})
+        if (core != nullptr) core->debug_check_invariants(now);
     recorder_.record(make_record(
         now, progress ? diag::StepKind::Progress : diag::StepKind::Stall, 0));
     if (fetch_blocked_ != was_blocked)
@@ -596,6 +599,11 @@ Result Machine::run_scheduler() {
       throw_deadlock(now, last_progress_cycle, /*no_pending_event=*/false);
 
     now = next;
+  }
+  for (const auto* core : {main_.get(), cp_.get(), ap_.get(), cmp_.get()}) {
+    if (core == nullptr) continue;
+    sched_.issue_visits += core->work().issue_visits;
+    sched_.wakeups += core->work().wakeups;
   }
   return collect(now);
 }

@@ -49,6 +49,10 @@ struct SchedulerStats {
   std::uint64_t max_skip = 0;        // longest single jump, in cycles
   std::uint64_t quiescent_core_ticks = 0;  // per-core ticks skipped while
                                            // a core was fully drained
+  // Issue-stage work summed over the cores (uarch::IssueWork): ready
+  // entries visited by select, and consumer wakeups by completions.
+  std::uint64_t issue_visits = 0;
+  std::uint64_t wakeups = 0;
 };
 
 class Machine {
@@ -161,6 +165,11 @@ class Machine {
 
   // Forensics.
   diag::FlightRecorder recorder_;
+
+  // Test-only (MachineTestAccess): run every core's debug_check_invariants
+  // after each step.
+  friend struct MachineTestAccess;
+  bool check_invariants_each_step_ = false;
 
   // Stats.
   SchedulerStats sched_;

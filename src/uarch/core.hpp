@@ -12,13 +12,17 @@
 // Producer-consumer timing between cores flows exclusively through
 // `TimedFifo`s, exactly like the paper's LDQ/SDQ/SCQ.
 //
-// Per-step cost scales with what changed, not with the window size: the
-// core keeps incremental frontiers (a completion-event min-heap, per-queue
-// pending-write cursors, the ordered list of unissued entries, and a
-// per-8-byte-line map of in-window stores) instead of rescanning the whole
-// window each cycle — see docs/MACHINE.md "Hot-path data structures".
-// `debug_check_invariants` recomputes every frontier by brute force and
-// throws on disagreement; the randomized scheduler tests call it each step.
+// The issue stage is textbook wakeup/select (Tomasulo): each window entry
+// counts its outstanding source operands and is linked into its producers'
+// consumer lists; a completion drains from the completion heap and wakes
+// its consumers; an entry whose count reaches zero joins an age-ordered
+// ready set, and select walks only that set, oldest first.  Per-cycle
+// issue cost is O(ready + woken), not O(window).  The other frontiers
+// (per-queue pending-write cursors, a per-8-byte-line map of in-window
+// stores) likewise replace window scans — see docs/MACHINE.md "Hot-path
+// data structures".  `debug_check_invariants` recomputes every frontier
+// by brute force and throws on disagreement; the randomized scheduler
+// tests and the machine-level invariant test call it every step.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +42,7 @@ namespace hidisc::uarch {
 
 struct CoreConfig {
   std::string name = "core";
-  int window = 64;         // scheduling window (RUU) entries
+  int window = 64;         // scheduling window (RUU) entries, at most 64
   int issue_width = 8;
   int commit_width = 8;
   int dispatch_width = 8;  // input queue -> window per cycle
@@ -76,6 +80,13 @@ struct CoreStats {
   std::uint64_t busy_cycles = 0; // cycles with at least one op in flight
 
   friend bool operator==(const CoreStats&, const CoreStats&) = default;
+};
+
+// Deterministic host-work counters of the issue stage.  Not part of any
+// Result: they describe how the simulator got there, not what it modelled.
+struct IssueWork {
+  std::uint64_t issue_visits = 0;  // ready entries the select walk visited
+  std::uint64_t wakeups = 0;       // consumer-count decrements by completions
 };
 
 // A branch whose redirect the front end is waiting on.
@@ -149,11 +160,18 @@ class OoOCore {
 
   [[nodiscard]] const CoreConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const CoreStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] const IssueWork& work() const noexcept { return work_; }
   [[nodiscard]] std::size_t window_occupancy() const noexcept {
     return window_count_;
   }
   [[nodiscard]] std::size_t input_occupancy() const noexcept {
     return input_count_;
+  }
+  // Fire-and-forget prefetch fills still in flight at `now` (prefetch-only
+  // cores; bounded by CoreConfig::prefetch_buffer).
+  [[nodiscard]] std::size_t prefetch_occupancy(std::uint64_t now) const {
+    prune_prefetch_fills(now);
+    return prefetch_fills_.size();
   }
 
   // Forensics: why the oldest op in the core cannot move at `now`.
@@ -169,15 +187,18 @@ class OoOCore {
   };
   [[nodiscard]] StallProbe probe_oldest_stall(std::uint64_t now) const;
 
-  // Recomputes every incremental frontier (completion min, unissued list,
-  // per-queue push cursors, store map, mem-op count) by brute-force window
-  // scan and throws std::logic_error on any disagreement.  Test-only: the
-  // randomized invariant tests call it after every tick.
+  // Recomputes every incremental frontier (completion heap, source counts,
+  // consumer links, ready and unissued sets, per-queue push cursors, store
+  // map, mem-op count) by brute-force window scan and throws
+  // std::logic_error on any disagreement.  Test-only: valid after a tick
+  // (or for a drained core); the invariant tests call it every step.
   void debug_check_invariants(std::uint64_t now) const;
 
   void reset();
 
  private:
+  static constexpr std::uint8_t kNoLink = 0xFF;
+
   // One window (RUU) entry.  Hot issue/complete fields first; the decoded
   // StaticOp is embedded by value so the issue path never chases
   // `op.inst->info()`.
@@ -190,23 +211,26 @@ class OoOCore {
     std::uint64_t complete_cycle = 0;
     TimedFifo* pop_queue = nullptr;   // null = no queue pop
     TimedFifo* push_queue = nullptr;  // queue written at completion
+    // Consumer list, threaded through the consumers themselves: a link is
+    // (ring slot << 1 | source index), kNoLink ends the list.  `consumers`
+    // heads the list of entries waiting on this one; `next_consumer[k]`
+    // chains this entry's own source k into its producer's list.
+    std::uint8_t consumers = kNoLink;
+    std::uint8_t next_consumer[2] = {kNoLink, kNoLink};
+    std::uint8_t pending = 0;  // producers not yet complete
     bool push_eod = false;
     bool pushed = false;  // queue write already performed
     bool issued = false;
     bool forwarded = false;  // load satisfied by an older in-window store
-    // Proven lower bound on this entry's issue cycle, recorded whenever
-    // the scheduler pins it (0 = no proof).  Pin proofs are
-    // time-invariant facts ("no source completes before T", "no unit
-    // frees before R"), so a stale value is still a valid bound.
-    // Consumers sharpen their own source pins with it: a producer that
-    // cannot issue before T cannot complete before T + 1.
-    std::uint64_t pin_until = 0;
     // Load dispatched with no older in-window store on its line: dispatch
     // is in-order, so later stores are younger and the disambiguation
     // walk can never make it wait or forward — skip the probe for life.
     bool no_conflict = false;
     DynOp op;
   };
+  // Completion-heap keys: (complete_cycle << kSlotBits) | ring slot, so the
+  // heap orders by cycle and the drain knows which entry completed.
+  static constexpr unsigned kSlotBits = 6;
 
   // The window lives in a power-of-two ring (`slots_`), so resolving a seq
   // to its entry — the single hottest operation of the issue path — is two
@@ -228,20 +252,11 @@ class OoOCore {
   [[nodiscard]] Entry& window_at(std::size_t i) noexcept {
     return slots_[(window_head_ + i) & window_mask_];
   }
-  [[nodiscard]] bool sources_ready(const Entry& e, std::uint64_t now) const
-      noexcept {
-    for (const auto seq : e.src_seq) {
-      if (seq == 0) continue;
-      const Entry* p = find_by_seq(seq);
-      if (p == nullptr) continue;  // producer committed: value architectural
-      if (!completed(*p, now)) return false;
-    }
-    return true;
-  }
   [[nodiscard]] bool completed(const Entry& e, std::uint64_t now) const
       noexcept {
     return e.issued && e.complete_cycle <= now;
   }
+  void wake_completed(std::uint64_t now);
   void do_commit(std::uint64_t now);
   void do_pushes(std::uint64_t now);
   void do_issue(std::uint64_t now);
@@ -252,8 +267,8 @@ class OoOCore {
     return const_cast<OoOCore*>(this)->pool_ptr(kind);
   }
   [[nodiscard]] TimedFifo* queue_ptr(QueueRole role) const noexcept;
-  // Slot index for the per-queue pending-push cursors; mirrors the
-  // historical ldq/sdq/else bucketing of do_pushes.
+  // Per-queue index (LDQ 0, SDQ 1, otherwise 2) of the pending-push
+  // cursors and of select's per-cycle pop state.
   [[nodiscard]] int queue_slot(const TimedFifo* q) const noexcept {
     return q == queues_.ldq ? 0 : q == queues_.sdq ? 1 : 2;
   }
@@ -263,9 +278,6 @@ class OoOCore {
   struct Disambiguation {
     bool wait = false;
     bool forward = false;
-    // When waiting: earliest cycle the blocking store can have completed
-    // (its fixed complete_cycle, or now + 2 while it is still unissued).
-    std::uint64_t until = 0;
   };
   [[nodiscard]] Disambiguation check_older_stores(std::uint64_t line,
                                                   std::uint64_t seq,
@@ -311,65 +323,25 @@ class OoOCore {
 
   // Incremental frontiers (all invariants in docs/MACHINE.md) ------------
   //
-  // Min-heap of complete_cycle over issued entries; stale tops (already
-  // reached, possibly committed) are lazily pruned, so the pruned top is
-  // exactly min{complete_cycle > now | issued} without a window scan.
-  mutable std::vector<std::uint64_t> completion_events_;
-  // Cache of the heap's pruned top, refreshed only once it falls due —
-  // the scheduler polls next_event_cycle every stalled step, and this
-  // keeps the polls O(1) between completions.  kNoEvent iff the heap
-  // holds no future event; a value <= now is stale and triggers a prune.
-  mutable std::uint64_t next_completion_ = kNoEvent;
+  // Min-heap of completion keys (see kSlotBits) over issued entries that
+  // have not completed yet.  tick() drains every key <= now first, waking
+  // the completed entries' consumers, so between ticks the top is exactly
+  // the earliest future completion.
+  std::vector<std::uint64_t> completion_events_;
+  // One bit per ring slot.  `unissued_`: window entries not yet issued.
+  // `ready_`: those among them whose sources are all complete.  Walking a
+  // set rotated to start at window_head_ visits it in program order.
+  std::uint64_t unissued_ = 0;
+  std::uint64_t ready_ = 0;
+  // A slot set re-indexed by age: bit i of the result is the entry at
+  // window position i (0 = oldest).
+  [[nodiscard]] std::uint64_t by_age(std::uint64_t slots) const noexcept;
+  [[nodiscard]] std::size_t slot_of(const Entry& e) const noexcept {
+    return static_cast<std::size_t>(&e - slots_.data());
+  }
   // Per queue slot: seqs of entries with an unperformed queue write, in
   // program order.  Front = the oldest write do_pushes must drain next.
   std::deque<std::uint64_t> pending_push_[3];
-  // Unissued window entries, split by whether the issue scan must look at
-  // them.  `active_` (ascending seq) is walked every cycle; an entry
-  // proven unable to issue before cycle `until` — an incomplete producer
-  // or blocking store with a fixed completion time, a queue head token
-  // with a future ready time, an exhausted FU pool's earliest release, a
-  // full prefetch buffer's earliest fill — moves to the `pinned_`
-  // min-heap (keyed by `until`) and costs nothing until its pin falls
-  // due, at which point it merges back into `active_` in program order.
-  // Pinning is restricted to visits the full gate walk would end with a
-  // side-effect-free `continue` (see do_issue), so the scan split cannot
-  // change any Result bit.
-  struct Unissued {
-    std::uint64_t seq = 0;
-    std::uint64_t until = 0;
-  };
-  std::vector<Unissued> active_;
-  std::vector<Unissued> pinned_;          // min-heap by until
-  std::vector<Unissued> expired_scratch_; // merge staging, reused
-  // Seq of the oldest unissued window entry (0 = none): the only entry
-  // whose blocked-on-empty-queue wait is charged to the stall counters.
-  // Advanced at the end of each issue pass and on dispatch, so it is
-  // fresh whenever account_idle_cycles / probe_oldest_stall read it.
-  std::uint64_t oldest_unissued_ = 0;
-  // Earliest cycle the active walk can do anything: when every active
-  // entry left the last pass carrying a justified future pin, the walk is
-  // provably a no-op until the earliest pin (or a merge, or a dispatch,
-  // which resets this) — do_issue returns without touching the list.
-  std::uint64_t active_rescan_ = 0;
-  // Empty-queue waiters, parked per consumed queue until the queue sees a
-  // push.  The FIFO's cumulative push count doubles as a generation
-  // stamp: a sleeper slot records the count at sleep time, and any
-  // difference at a later pass means at least one push happened, so the
-  // sleepers rejoin `active_` and re-derive their gates.  Sleeping is
-  // only legal when the queue holds no token at all (in-flight tokens
-  // pin on their ready time instead), and — like pins — only for visits
-  // that would end in a side-effect-free keep.  The one charged visit,
-  // the program-order head's empty-queue stall, sleeps separately
-  // (`head_sleep_seq_`) and is charged O(1) at the top of every pass,
-  // which is exactly the per-cycle charge its visit would have made.
-  std::vector<Unissued> queue_sleepers_[3];
-  std::uint64_t sleeper_gen_[3] = {0, 0, 0};
-  std::uint64_t head_sleep_seq_ = 0;  // 0 = head not sleeping
-  int head_sleep_slot_ = 0;
-  std::size_t sleeping_ = 0;  // total parked entries incl. the head
-  [[nodiscard]] TimedFifo* queue_from_slot(int s) const noexcept {
-    return s == 0 ? queues_.ldq : s == 1 ? queues_.sdq : queues_.scq;
-  }
   // 8-byte line -> seqs of in-window stores to it, ascending.  Loads
   // disambiguate against their own line's bucket instead of the window.
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> stores_by_line_;
@@ -378,6 +350,7 @@ class OoOCore {
   mutable std::vector<std::uint64_t> prefetch_fills_;
 
   CoreStats stats_;
+  IssueWork work_;
   std::vector<ResolvedBranch> resolved_;
   bool progress_ = false;  // state changed during the current tick
 };

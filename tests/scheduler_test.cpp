@@ -22,6 +22,15 @@
 #include "workloads/common.hpp"
 
 namespace hidisc {
+namespace machine {
+// Test-only access to Machine (declared a friend in machine.hpp).
+struct MachineTestAccess {
+  static void check_invariants_each_step(Machine& m) {
+    m.check_invariants_each_step_ = true;
+  }
+};
+}  // namespace machine
+
 namespace {
 
 using machine::Machine;
@@ -137,6 +146,46 @@ TEST(Scheduler, WatchdogCountsEventStepsNotSkippedCycles) {
   EXPECT_TRUE(skip == lock);
 }
 
+TEST(SchedulerInvariants, EveryCoreAfterEveryMachineStep) {
+  // Real LDQ/SDQ/SCQ traffic and a CMP under the brute-force checker: every
+  // core's debug_check_invariants runs after every step of the machine.
+  std::vector<workloads::BuiltWorkload> ws;
+  ws.push_back(workloads::make_pointer(workloads::Scale::Test));
+  ws.push_back(workloads::make_neighborhood(workloads::Scale::Test));
+  for (const auto& w : ws) {
+    const Prepared p = prepare(w);
+    for (const Preset preset : kAllPresets) {
+      const bool sep = machine::uses_separated_binary(preset);
+      Machine m(sep ? p.comp.separated : p.comp.original,
+                sep ? p.sep_trace : p.orig_trace, preset, {});
+      machine::MachineTestAccess::check_invariants_each_step(m);
+      machine::Result r;
+      ASSERT_NO_THROW(r = m.run())
+          << w.name << "/" << machine::preset_name(preset);
+      EXPECT_TRUE(r == run_with(p, preset, SchedulerKind::EventSkip, {}))
+          << w.name << "/" << machine::preset_name(preset);
+    }
+  }
+}
+
+TEST(Scheduler, SelectWalkVisitsStayProportionalToIssues) {
+  // Deterministic work counters: select visits only ready entries, so on
+  // the pointer-chasing cells — where most of the window waits on a load —
+  // the walk stays within a small factor of the uops it issues.
+  const Prepared p = prepare(workloads::make_pointer(workloads::Scale::Test));
+  for (const Preset preset : {Preset::HiDISC, Preset::CPCMP}) {
+    machine::SchedulerStats stats;
+    const auto r = run_with(p, preset, SchedulerKind::EventSkip, {}, &stats);
+    const std::uint64_t issued = r.main.committed_all + r.cp.committed_all +
+                                 r.ap.committed_all + r.cmp.committed_all;
+    EXPECT_GT(issued, 0u) << machine::preset_name(preset);
+    EXPECT_GT(stats.wakeups, 0u) << machine::preset_name(preset);
+    EXPECT_LE(stats.issue_visits, 2 * issued)
+        << machine::preset_name(preset) << ": " << stats.issue_visits
+        << " visits for " << issued << " issued uops";
+  }
+}
+
 TEST(Scheduler, LockstepVerifyEnvRunsBothAndAgrees) {
   ::setenv("HIDISC_LOCKSTEP", "1", 1);
   const Prepared p = prepare(workloads::make_field(workloads::Scale::Test));
@@ -243,10 +292,10 @@ TEST_F(NextEventTest, PromiseIsSoundAndStableUnderRandomStimulus) {
 // Incremental-frontier invariants under random stimulus (docs/MACHINE.md,
 // "Hot-path data structures").  After every tick, debug_check_invariants
 // recomputes by brute force what the core maintains incrementally — the
-// completion frontier, the unissued population (active list + pinned heap
-// + queue sleepers), every pin's justification at until-1, the pending-push
-// cursors, the store-disambiguation map and the no_conflict promises — and
-// throws std::logic_error on any disagreement.
+// completion heap, every entry's outstanding-source count and consumer
+// links, the ready and unissued sets, the pending-push cursors, the
+// store-disambiguation map and the no_conflict promises — and throws
+// std::logic_error on any disagreement.
 
 TEST_F(NextEventTest, InvariantsHoldUnderRandomAluMemStimulus) {
   uarch::CoreConfig cfg;
@@ -264,9 +313,10 @@ TEST_F(NextEventTest, InvariantsHoldUnderRandomAluMemStimulus) {
   uarch::OoOCore core(cfg, &memsys_, {});
 
   // Addresses collide on a handful of 8-byte lines so loads meet older
-  // in-window stores: the store map, disambiguation pins, store-to-load
+  // in-window stores: the store map, disambiguation waits, store-to-load
   // forwarding and the no_conflict fast path all get exercised.  DIVs
-  // keep the single unpipelined unit saturated (pool-exhausted pins).
+  // keep the single unpipelined unit saturated (the pool-exhausted
+  // short-circuit).
   std::mt19937_64 rng(0xC0FFEEu);
   const auto rand_addr = [&] { return (rng() % 8) * 8 + (rng() % 8) * 4096; };
   int fed = 0;
@@ -314,11 +364,94 @@ TEST_F(NextEventTest, InvariantsHoldUnderRandomAluMemStimulus) {
   EXPECT_GT(core.stats().forwarded_loads, 0u);  // stimulus really collided
 }
 
+TEST_F(NextEventTest, PrefetchOnlyCoreUnderRandomStimulus) {
+  // A CMP-shaped core: prefetch-only, a two-slot prefetch buffer, fed a
+  // mix of value-live slice loads (full latency, feed later slice ops),
+  // fire-and-forget loads (retire at once, hold a buffer slot until the
+  // fill lands) and unpipelined DIVs.  Every tick checks the invariants and
+  // the next-event promise.
+  uarch::CoreConfig cfg;
+  cfg.name = "cmp";
+  cfg.window = 32;
+  cfg.issue_width = 4;
+  cfg.commit_width = 4;
+  cfg.dispatch_width = 4;
+  cfg.input_queue = 512;
+  cfg.int_alu = 2;
+  cfg.int_muldiv = 1;
+  cfg.fp_alu = 0;
+  cfg.mem_ports = 2;
+  cfg.has_lsu = true;
+  cfg.prefetch_only = true;
+  cfg.prefetch_buffer = 2;
+  uarch::OoOCore core(cfg, &memsys_, {});
+
+  std::mt19937_64 rng(0xC3Bu);
+  for (int i = 0; i < 400; ++i) {
+    const int dst = 1 + static_cast<int>(rng() % 8);
+    const int src = 1 + static_cast<int>(rng() % 8);
+    Instruction inst;
+    inst.dst = ir(static_cast<std::uint8_t>(dst));
+    inst.src1 = ir(static_cast<std::uint8_t>(src));
+    std::uint64_t addr = 0;
+    switch (rng() % 4) {
+      case 0:  // value-live slice load: its consumers wait for the data
+        inst.op = Opcode::LD;
+        inst.ann.in_cmas = true;
+        inst.ann.cmas_group = 0;
+        inst.ann.cmas_value_live = true;
+        addr = (rng() % 1024) * 4096;
+        break;
+      case 1:
+      case 2:  // fire-and-forget prefetch load
+        inst.op = Opcode::LD;
+        inst.ann.in_cmas = true;
+        inst.ann.cmas_group = 1;
+        addr = (rng() % 1024) * 4096;
+        break;
+      default:  // unpipelined divide on the single MUL/DIV unit
+        inst.op = Opcode::DIV;
+        inst.src2 = ir(static_cast<std::uint8_t>(dst));
+        break;
+    }
+    ASSERT_TRUE(core.enqueue(op_for(inst, addr)));
+  }
+
+  std::uint64_t now = 0;
+  std::uint64_t promise = 0;
+  std::size_t max_fills = 0;
+  const std::uint64_t limit = 2'000'000;
+  while (!core.drained()) {
+    const bool progress = core.tick(now);
+    ASSERT_NO_THROW(core.debug_check_invariants(now)) << "cycle " << now;
+    max_fills = std::max(max_fills, core.prefetch_occupancy(now));
+    if (progress) {
+      if (promise != 0) {
+        EXPECT_GE(now, promise) << "missed event at " << now;
+      }
+      promise = 0;
+    } else {
+      const std::uint64_t ev = core.next_event_cycle(now);
+      ASSERT_NE(ev, uarch::kNoEvent) << "wedged at cycle " << now;
+      ASSERT_GT(ev, now);
+      if (promise != 0) {
+        EXPECT_GE(ev, promise) << "promise moved at " << now;
+      }
+      promise = ev;
+    }
+    ASSERT_LT(++now, limit) << "core did not drain";
+  }
+  EXPECT_EQ(core.stats().committed_all, 400u);
+  // The buffer must really have filled, or the prefetch-buffer gate went
+  // untested.
+  EXPECT_EQ(max_fills, 2u);
+}
+
 TEST_F(NextEventTest, InvariantsHoldAcrossQueueProducerConsumerPair) {
   // A producer core feeding an LDQ that a consumer core pops, with the
   // producer deliberately bursty so the consumer's POPLDQ entries run the
-  // queue dry and park as queue sleepers (woken by push-generation
-  // change), both as the program-order head and behind it.
+  // queue dry and wait, ready, on the empty queue — both as the
+  // program-order head (charged a stall every cycle) and behind it.
   uarch::TimedFifo ldq("LDQ", 4);
   uarch::CoreConfig pcfg;
   pcfg.name = "prod";
@@ -377,8 +510,8 @@ TEST_F(NextEventTest, InvariantsHoldAcrossQueueProducerConsumerPair) {
     ASSERT_LT(++now, limit) << "pair did not drain";
   }
   EXPECT_EQ(cons.stats().committed, 2u * kTokens);
-  // The dry spells must really have parked the consumer's head on the
-  // empty queue — otherwise this test lost its sleeper coverage.
+  // The dry spells must really have stalled the consumer's head on the
+  // empty queue — otherwise this test lost its empty-queue coverage.
   EXPECT_GT(cons.stats().head_pop_empty_stalls, 0u);
   EXPECT_TRUE(ldq.empty());
 }

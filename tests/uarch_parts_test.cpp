@@ -109,7 +109,7 @@ TEST(FuPool, SizeReportsUnitCount) {
 
 // The pool keeps a lazily-pruned min-heap of release times; this model is
 // the obvious per-unit array with linear scans.  Every query the issue
-// path makes (available / acquire / next_release / exhausted_at) must
+// path makes (available / acquire / next_release) must
 // agree with it under a random schedule of pipelined and unpipelined
 // acquires with time always moving forward.
 struct RefPool {
@@ -133,10 +133,6 @@ struct RefPool {
     for (const auto r : release)
       if (r > now) best = std::min(best, r);
     return best;
-  }
-  bool exhausted_at(std::uint64_t t) const {
-    return std::all_of(release.begin(), release.end(),
-                       [&](std::uint64_t r) { return r > t; });
   }
 };
 
@@ -166,13 +162,6 @@ TEST(FuPool, AgreesWithLinearScanModelUnderRandomSchedule) {
       EXPECT_EQ(pool.available(now), ref.available(now)) << "step " << step;
       EXPECT_EQ(pool.next_release(now), ref.next_release(now))
           << "step " << step;
-      // exhausted_at is read-only and must hold at the present and at the
-      // future instants the invariant checker probes (pin horizons).
-      EXPECT_EQ(pool.exhausted_at(now), ref.exhausted_at(now))
-          << "step " << step;
-      const std::uint64_t t = now + rng() % 25;
-      EXPECT_EQ(pool.exhausted_at(t), ref.exhausted_at(t))
-          << "step " << step << " at " << t;
     }
   }
 }
