@@ -191,7 +191,8 @@ void write_bench_json(const std::string& path, const std::string& name,
                 "      \"iterations\": 1,\n"
                 "      \"real_time\": %.6g,\n"
                 "      \"time_unit\": \"ms\",\n"
-                "      \"items_per_second\": %.17g\n"
+                "      \"items_per_second\": %.17g,\n"
+                "      \"label\": \"items = cells\"\n"
                 "    }\n  ]\n}\n",
                 name.c_str(), wall_ms, cells_per_sec);
   lab::write_text_file(path, buf);

@@ -30,12 +30,13 @@ repo accumulates an items/sec history across commits:
         --append-trajectory BENCH_throughput.json --commit "$GITHUB_SHA"
 
 Each entry is {"commit", "benchmarks": {name: {"items_per_second",
-"sim_cycles_per_sec"}}}, plus "label" when --label names the leg (one
-commit can contribute several legs: the machine microbenchmarks, the
-service-mode plan timings, the pipeline cold/warm timings).  The
-throughput benchmarks report simulated cycles as items, so the two rates
-coincide there; both are written so the trajectory stays meaningful if
-items ever change meaning.  The append happens even when the gate then
+"unit"}}}, plus "label" when --label names the leg (one commit can
+contribute several legs: the machine microbenchmarks, the service-mode
+plan timings, the pipeline cold/warm timings).  "unit" is the rate's
+real unit, read from the benchmark's own label: a label starting
+"items = simulated cycles" gives "cycles/s", "items = cells" gives
+"cells/s", no such label gives "items/s".  Only cycle rates also carry
+"sim_cycles_per_sec".  The append happens even when the gate then
 fails — a regression is exactly the data point the trajectory exists to
 show.
 
@@ -52,8 +53,9 @@ import os
 import sys
 
 
-def load_items_per_second(path):
-    """Map benchmark name -> items_per_second from google-benchmark JSON."""
+def load_benchmarks(path):
+    """Map benchmark name -> (items_per_second, label) from
+    google-benchmark JSON."""
     with open(path) as f:
         data = json.load(f)
     plain = {}
@@ -65,11 +67,24 @@ def load_items_per_second(path):
             continue
         if b.get("run_type") == "aggregate":
             if b.get("aggregate_name") == "median":
-                medians[b.get("run_name", name)] = ips
+                medians[b.get("run_name", name)] = (ips, b.get("label", ""))
         else:
-            plain[name] = ips
+            plain[name] = (ips, b.get("label", ""))
     # Aggregates win: their run_name is the plain benchmark name.
     return {**plain, **medians}
+
+
+def load_items_per_second(path):
+    """Map benchmark name -> items_per_second from google-benchmark JSON."""
+    return {name: ips for name, (ips, _) in load_benchmarks(path).items()}
+
+
+def rate_unit(label):
+    """The unit of items_per_second, from a label "items = <what>[, ...]"."""
+    if not label.startswith("items = "):
+        return "items/s"
+    what = label[len("items = "):].split(",")[0].strip()
+    return {"simulated cycles": "cycles/s"}.get(what, what + "/s")
 
 
 def is_real_commit_id(commit):
@@ -89,13 +104,13 @@ def append_trajectory(path, commit, current, label=None):
             return 1
     except FileNotFoundError:
         history = []
-    entry = {
-        "commit": commit,
-        "benchmarks": {
-            name: {"items_per_second": ips, "sim_cycles_per_sec": ips}
-            for name, ips in sorted(current.items())
-        },
-    }
+    benchmarks = {}
+    for name, (ips, bench_label) in sorted(current.items()):
+        leg = {"items_per_second": ips, "unit": rate_unit(bench_label)}
+        if leg["unit"] == "cycles/s":
+            leg["sim_cycles_per_sec"] = ips
+        benchmarks[name] = leg
+    entry = {"commit": commit, "benchmarks": benchmarks}
     if label:
         entry["label"] = label
     history.append(entry)
@@ -126,7 +141,8 @@ def main():
                          "pipeline) so one commit can carry several entries")
     args = ap.parse_args()
 
-    current = load_items_per_second(args.current)
+    current_legs = load_benchmarks(args.current)
+    current = {name: ips for name, (ips, _) in current_legs.items()}
     if not current:
         print(f"perf_gate: no items_per_second entries in {args.current}",
               file=sys.stderr)
@@ -143,7 +159,7 @@ def main():
             print(f"perf_gate: warning: '{commit}' is not a git commit id; "
                   "this entry cannot be correlated with history",
                   file=sys.stderr)
-        rc = append_trajectory(args.append_trajectory, commit, current,
+        rc = append_trajectory(args.append_trajectory, commit, current_legs,
                                args.label)
         if rc != 0:
             return rc
