@@ -81,10 +81,10 @@ void BM_TraceGeneration(benchmark::State& state) {
 BENCHMARK(BM_TraceGeneration);
 
 // Threaded-code interpreter vs the reference switch interpreter, on the
-// compiled (separated) Matrix binary so queue opcodes and fused pairs are
-// exercised.  Arg 0 = threaded (run_trace), Arg 1 = reference
-// (run_trace_ref); /0 over /1 is the dispatch+decode speedup the
-// pre-decoded engine buys.  items = trace entries.
+// compiled (separated) Matrix binary so queue opcodes are exercised.
+// Arg 0 = threaded (run_trace), Arg 1 = reference (run_trace_ref); /0 over
+// /1 is the dispatch+decode speedup the pre-decoded engine buys.
+// items = trace entries.
 void BM_Functional(benchmark::State& state) {
   const auto w = workloads::make_matrix(workloads::Scale::Test);
   const auto comp = compiler::compile(w.program);

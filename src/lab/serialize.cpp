@@ -62,13 +62,12 @@ bool results_identical(const machine::Result& a, const machine::Result& b) {
   return result_to_fields(a) == result_to_fields(b);
 }
 
-std::uint64_t fnv1a64(std::string_view data) noexcept {
-  std::uint64_t h = 14695981039346656037ull;
+std::uint64_t fnv1a64(std::string_view data, std::uint64_t state) noexcept {
   for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
+    state ^= static_cast<unsigned char>(c);
+    state *= 1099511628211ull;
   }
-  return h;
+  return state;
 }
 
 std::string json_escape(const std::string& s) {

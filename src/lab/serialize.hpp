@@ -135,7 +135,12 @@ void visit_result_fields(R& r, V&& v) {
 [[nodiscard]] std::string json_escape(const std::string& s);
 [[nodiscard]] std::string format_double(double v);
 
-// FNV-1a 64-bit hash; the cache's checksum footer.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view data) noexcept;
+// FNV-1a 64-bit hash; the result cache's and trace store's checksum
+// footer.  Passing the previous call's return value as `state` continues
+// the hash, so a chain of calls over consecutive spans equals one call over
+// their concatenation.
+inline constexpr std::uint64_t kFnv1a64Basis = 14695981039346656037ull;
+[[nodiscard]] std::uint64_t fnv1a64(
+    std::string_view data, std::uint64_t state = kFnv1a64Basis) noexcept;
 
 }  // namespace hidisc::lab

@@ -4,16 +4,17 @@
 #include <sys/file.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 
+#include "diag/quarantine.hpp"
 #include "lab/serialize.hpp"
 
 namespace fs = std::filesystem;
@@ -29,18 +30,23 @@ constexpr std::uint32_t kProbe = 0x01020304u;
 static_assert(std::is_trivially_copyable_v<sim::TraceEntry>,
               "TraceEntry is persisted as raw bytes");
 
-// Incremental FNV-1a-64 matching lab::fnv1a64 (same offset basis/prime).
-std::uint64_t fnv1a64_step(std::uint64_t state, const void* data,
-                           std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    state ^= p[i];
-    state *= 0x100000001b3ull;
-  }
-  return state;
+// The footer: FNV-1a-64 over every byte that precedes it (header, probe,
+// entry size, count, payload), one call per span so the payload is hashed
+// in a single pass.
+std::uint64_t trace_checksum(const sim::Trace& trace) {
+  const auto span = [](const void* p, std::size_t n) {
+    return std::string_view(static_cast<const char*>(p), n);
+  };
+  const std::uint32_t probe = kProbe;
+  const std::uint32_t entry_size = sizeof(sim::TraceEntry);
+  const std::uint64_t count = trace.size();
+  std::uint64_t sum = lab::fnv1a64(span(kHeader, kHeaderLen));
+  sum = lab::fnv1a64(span(&probe, sizeof probe), sum);
+  sum = lab::fnv1a64(span(&entry_size, sizeof entry_size), sum);
+  sum = lab::fnv1a64(span(&count, sizeof count), sum);
+  return lab::fnv1a64(span(trace.data(), count * sizeof(sim::TraceEntry)),
+                      sum);
 }
-
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
 
 }  // namespace
 
@@ -54,17 +60,6 @@ TraceStore::TraceStore(std::string dir) : dir_(std::move(dir)) {
 
 std::string TraceStore::path_for(const std::string& key) const {
   return (fs::path(dir_) / (key + ".trace")).string();
-}
-
-void TraceStore::quarantine(const std::string& path) const {
-  // Unique per process and per event, same rationale as the result cache:
-  // concurrent quarantines must never clobber each other's evidence.
-  static std::atomic<unsigned> counter{0};
-  std::ostringstream dest;
-  dest << path << ".corrupt." << ::getpid() << '.'
-       << counter.fetch_add(1, std::memory_order_relaxed);
-  std::error_code ec;
-  fs::rename(path, dest.str(), ec);  // best-effort
 }
 
 std::optional<sim::Trace> TraceStore::load(const std::string& key) const {
@@ -84,7 +79,7 @@ std::optional<sim::Trace> TraceStore::load(const std::string& key) const {
   if (!in.read(reinterpret_cast<char*>(&probe), sizeof probe) ||
       !in.read(reinterpret_cast<char*>(&entry_size), sizeof entry_size) ||
       !in.read(reinterpret_cast<char*>(&count), sizeof count)) {
-    quarantine(path);
+    diag::quarantine_file(path);
     return std::nullopt;
   }
   // A foreign endianness or a recompiled TraceEntry size is a format
@@ -101,7 +96,7 @@ std::optional<sim::Trace> TraceStore::load(const std::string& key) const {
       sizeof(std::uint64_t);
   if (ec || count > (1ull << 32) ||
       file_size != fixed + count * sizeof(sim::TraceEntry)) {
-    quarantine(path);
+    diag::quarantine_file(path);
     return std::nullopt;
   }
 
@@ -109,21 +104,16 @@ std::optional<sim::Trace> TraceStore::load(const std::string& key) const {
   if (count > 0 &&
       !in.read(reinterpret_cast<char*>(trace.data()),
                static_cast<std::streamsize>(count * sizeof(sim::TraceEntry)))) {
-    quarantine(path);
+    diag::quarantine_file(path);
     return std::nullopt;
   }
   std::uint64_t footer = 0;
   if (!in.read(reinterpret_cast<char*>(&footer), sizeof footer)) {
-    quarantine(path);
+    diag::quarantine_file(path);
     return std::nullopt;
   }
-  std::uint64_t sum = fnv1a64_step(kFnvBasis, kHeader, kHeaderLen);
-  sum = fnv1a64_step(sum, &probe, sizeof probe);
-  sum = fnv1a64_step(sum, &entry_size, sizeof entry_size);
-  sum = fnv1a64_step(sum, &count, sizeof count);
-  sum = fnv1a64_step(sum, trace.data(), count * sizeof(sim::TraceEntry));
-  if (sum != footer) {
-    quarantine(path);
+  if (trace_checksum(trace) != footer) {
+    diag::quarantine_file(path);
     return std::nullopt;
   }
   return trace;
@@ -133,11 +123,7 @@ bool TraceStore::store(const std::string& key, const sim::Trace& trace) const {
   const std::uint32_t probe = kProbe;
   const std::uint32_t entry_size = sizeof(sim::TraceEntry);
   const std::uint64_t count = trace.size();
-  std::uint64_t sum = fnv1a64_step(kFnvBasis, kHeader, kHeaderLen);
-  sum = fnv1a64_step(sum, &probe, sizeof probe);
-  sum = fnv1a64_step(sum, &entry_size, sizeof entry_size);
-  sum = fnv1a64_step(sum, &count, sizeof count);
-  sum = fnv1a64_step(sum, trace.data(), count * sizeof(sim::TraceEntry));
+  const std::uint64_t sum = trace_checksum(trace);
 
   // Same publish protocol as the result cache: advisory per-entry flock,
   // per-process/per-thread temp file, atomic rename.  See

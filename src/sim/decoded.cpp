@@ -36,29 +36,6 @@ Commit commit_class(Opcode op) {
   }
 }
 
-struct FusePair {
-  Opcode first;
-  Opcode second;
-  std::uint8_t kind;
-};
-
-constexpr FusePair kFusePairs[] = {
-    {Opcode::ADDI, Opcode::BNE, kFuseAddiBne},
-    {Opcode::ADDI, Opcode::ADDI, kFuseAddiAddi},
-    {Opcode::FMUL, Opcode::FADD, kFuseFmulFadd},
-    {Opcode::ADD, Opcode::LD, kFuseAddLd},
-    {Opcode::LD, Opcode::ADD, kFuseLdAdd},
-    {Opcode::MUL, Opcode::ADD, kFuseMulAdd},
-    {Opcode::SLLI, Opcode::ADD, kFuseSlliAdd},
-    {Opcode::LD, Opcode::ADDI, kFuseLdAddi},
-    {Opcode::LD, Opcode::BGE, kFuseLdBge},
-    {Opcode::SLT, Opcode::BNE, kFuseSltBne},
-    {Opcode::SLTI, Opcode::BNE, kFuseSltiBne},
-    {Opcode::SLTU, Opcode::BNE, kFuseSltuBne},
-    {Opcode::SLT, Opcode::BEQ, kFuseSltBeq},
-    {Opcode::SLTI, Opcode::BEQ, kFuseSltiBeq},
-};
-
 DecodedOp decode_one(const isa::Instruction& inst) {
   DecodedOp d;
   const auto raw = static_cast<std::uint16_t>(inst.op);
@@ -94,56 +71,12 @@ DecodedOp decode_one(const isa::Instruction& inst) {
 
 }  // namespace
 
-DecodedProgram decode_program(const isa::Program& prog, bool fuse) {
+DecodedProgram decode_program(const isa::Program& prog) {
   DecodedProgram out;
   out.ops.reserve(prog.code.size());
   for (const isa::Instruction& inst : prog.code)
     out.ops.push_back(decode_one(inst));
-
-  if (fuse) {
-    // Rewrite the first slot of each matching fall-through pair.  Pairs may
-    // chain (slot i fuses with i+1 while i+1 independently fuses with i+2):
-    // the fused handler executes the second component from its own decoded
-    // fields, never from its possibly-rewritten kind, and a jump landing on
-    // i+1 simply runs that slot's own handler.
-    for (std::size_t i = 0; i + 1 < prog.code.size(); ++i) {
-      const Opcode a = prog.code[i].op;
-      const Opcode b = prog.code[i + 1].op;
-      for (const FusePair& p : kFusePairs) {
-        if (p.first == a && p.second == b) {
-          out.ops[i].kind = p.kind;
-          ++out.stats.fused_sites;
-          break;
-        }
-      }
-    }
-  }
-
-  for (const DecodedOp& d : out.ops) ++out.stats.kind_count[d.kind];
   return out;
-}
-
-const char* exec_kind_name(std::uint8_t kind) noexcept {
-  if (kind < static_cast<std::uint8_t>(Opcode::kCount))
-    return isa::op_info(static_cast<Opcode>(kind)).name.data();
-  switch (kind) {
-    case kExecInvalid: return "invalid";
-    case kFuseAddiAddi: return "fuse:addi+addi";
-    case kFuseAddiBne: return "fuse:addi+bne";
-    case kFuseFmulFadd: return "fuse:fmul+fadd";
-    case kFuseAddLd: return "fuse:add+ld";
-    case kFuseLdAdd: return "fuse:ld+add";
-    case kFuseMulAdd: return "fuse:mul+add";
-    case kFuseSlliAdd: return "fuse:slli+add";
-    case kFuseLdAddi: return "fuse:ld+addi";
-    case kFuseLdBge: return "fuse:ld+bge";
-    case kFuseSltBne: return "fuse:slt+bne";
-    case kFuseSltiBne: return "fuse:slti+bne";
-    case kFuseSltuBne: return "fuse:sltu+bne";
-    case kFuseSltBeq: return "fuse:slt+beq";
-    case kFuseSltiBeq: return "fuse:slti+beq";
-    default: return "?";
-  }
 }
 
 }  // namespace hidisc::sim

@@ -45,11 +45,6 @@ void Functional::ensure_decoded() {
     decoded_ = std::make_shared<const DecodedProgram>(decode_program(prog_));
 }
 
-const DecodedProgram& Functional::decoded_program() {
-  ensure_decoded();
-  return *decoded_;
-}
-
 namespace {
 
 // Pre-size a trace buffer from the remaining step budget, capped so small

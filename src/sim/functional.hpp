@@ -11,9 +11,9 @@
 // Two interpreters share this architectural state (docs/FUNCTIONAL.md):
 //
 //  * the threaded-code interpreter (decoded.hpp + interp.cpp) — the fast
-//    path behind run()/run_trace(): pre-decoded DecodedOp table,
-//    computed-goto dispatch, superinstruction fusion, batched trace
-//    emission into a pre-sized buffer;
+//    path behind run()/run_trace(): pre-decoded DecodedOp table (one op
+//    per static instruction), one computed-goto dispatch per dynamic
+//    instruction, batched trace emission into a pre-sized buffer;
 //  * the reference switch interpreter (step(), run_ref(), run_trace_ref())
 //    — the original giant-switch implementation, kept as the semantic
 //    oracle.  Setting HIDISC_FSIM_REF=1 (mirroring HIDISC_LOCKSTEP) makes
@@ -105,10 +105,6 @@ class Functional {
   // halted.  Interleaves freely with run()/run_trace(), which resume from
   // whatever state it leaves.
   bool step(TraceEntry* out = nullptr);
-
-  // The lazily built threaded-code table for this program (decode stats,
-  // superinstruction sites).  Exposed for tests and diagnostics.
-  [[nodiscard]] const DecodedProgram& decoded_program();
 
   // True when HIDISC_FSIM_REF is set: run()/run_trace() shadow-execute the
   // reference interpreter and compare.
