@@ -2,32 +2,11 @@
 
 #include <sstream>
 
+#include "stats/json.hpp"
+
 namespace hidisc::diag {
 
 namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 const QueueSnapshot* find_queue(const DeadlockReport& rep,
                                 const std::string& name) {
@@ -139,64 +118,51 @@ std::string DeadlockReport::summary() const {
 }
 
 std::string DeadlockReport::to_json() const {
-  std::ostringstream os;
-  os << "{\n"
-     << "  \"kind\": \"deadlock\",\n"
-     << "  \"preset\": \"" << escape(preset) << "\",\n"
-     << "  \"scheduler\": \"" << escape(scheduler) << "\",\n"
-     << "  \"cause\": \"" << cause_name(cause) << "\",\n"
-     << "  \"cause_detail\": \"" << escape(cause_detail) << "\",\n"
-     << "  \"now\": " << now << ",\n"
-     << "  \"last_progress_cycle\": " << last_progress_cycle << ",\n"
-     << "  \"watchdog_cycles\": " << watchdog_cycles << ",\n"
-     << "  \"no_pending_event\": " << (no_pending_event ? "true" : "false")
-     << ",\n"
-     << "  \"fetch\": {\"pos\": " << fetch_pos << ", \"trace_size\": "
-     << trace_size << ", \"blocked\": " << (fetch_blocked ? "true" : "false")
-     << ", \"pending_branch_pos\": " << pending_branch_pos
-     << ", \"cmp_contexts_active\": " << cmp_contexts_active << "},\n";
-  os << "  \"queues\": [\n";
-  for (std::size_t i = 0; i < queues.size(); ++i) {
-    const QueueSnapshot& q = queues[i];
-    os << "    {\"name\": \"" << escape(q.name) << "\", \"size\": " << q.size
-       << ", \"capacity\": " << q.capacity << ", \"pushes\": " << q.pushes
-       << ", \"pops\": " << q.pops << ", \"has_head\": "
-       << (q.has_head ? "true" : "false");
+  stats::JsonWriter w;
+  w.begin_object().field("kind", "deadlock").field("preset", preset);
+  w.field("scheduler", scheduler).field("cause", cause_name(cause));
+  w.field("cause_detail", cause_detail).field("now", now);
+  w.field("last_progress_cycle", last_progress_cycle);
+  w.field("watchdog_cycles", watchdog_cycles);
+  w.field("no_pending_event", no_pending_event);
+  w.key("fetch").begin_object().field("pos", fetch_pos);
+  w.field("trace_size", trace_size).field("blocked", fetch_blocked);
+  w.field("pending_branch_pos", pending_branch_pos);
+  w.field("cmp_contexts_active", cmp_contexts_active).end_object();
+  w.key("queues").begin_array();
+  for (const QueueSnapshot& q : queues) {
+    w.begin_object().field("name", q.name).field("size", q.size);
+    w.field("capacity", q.capacity).field("pushes", q.pushes);
+    w.field("pops", q.pops).field("has_head", q.has_head);
     if (q.has_head)
-      os << ", \"head_ready\": " << q.head_ready << ", \"head_producer\": "
-         << q.head_producer << ", \"head_eod\": "
-         << (q.head_eod ? "true" : "false");
-    os << '}' << (i + 1 < queues.size() ? "," : "") << '\n';
+      w.field("head_ready", q.head_ready)
+          .field("head_producer", q.head_producer)
+          .field("head_eod", q.head_eod);
+    w.end_object();
   }
-  os << "  ],\n  \"cores\": [\n";
-  for (std::size_t i = 0; i < cores.size(); ++i) {
-    const CoreSnapshot& c = cores[i];
-    os << "    {\"name\": \"" << escape(c.name) << "\", \"drained\": "
-       << (c.drained ? "true" : "false") << ", \"window\": " << c.window
-       << ", \"window_capacity\": " << c.window_capacity
-       << ", \"input\": " << c.input << ", \"input_capacity\": "
-       << c.input_capacity << ", \"has_stall\": "
-       << (c.has_stall ? "true" : "false");
+  w.end_array().key("cores").begin_array();
+  for (const CoreSnapshot& c : cores) {
+    w.begin_object().field("name", c.name).field("drained", c.drained);
+    w.field("window", c.window).field("window_capacity", c.window_capacity);
+    w.field("input", c.input).field("input_capacity", c.input_capacity);
+    w.field("has_stall", c.has_stall);
     if (c.has_stall)
-      os << ", \"why\": \"" << stall_why_name(c.why) << "\", \"op\": \""
-         << escape(c.op) << "\", \"static_idx\": " << c.static_idx
-         << ", \"trace_pos\": " << c.trace_pos << ", \"queue\": \""
-         << escape(c.queue) << "\"";
-    os << '}' << (i + 1 < cores.size() ? "," : "") << '\n';
+      w.field("why", stall_why_name(c.why)).field("op", c.op)
+          .field("static_idx", c.static_idx).field("trace_pos", c.trace_pos)
+          .field("queue", c.queue);
+    w.end_object();
   }
-  os << "  ],\n  \"recent\": [\n";
-  for (std::size_t i = 0; i < recent.size(); ++i) {
-    const StepRecord& r = recent[i];
-    os << "    {\"cycle\": " << r.cycle << ", \"kind\": \""
-       << step_kind_name(r.kind) << "\", \"arg\": " << r.arg
-       << ", \"fetch_pos\": " << r.fetch_pos << ", \"ldq\": " << r.ldq
-       << ", \"sdq\": " << r.sdq << ", \"scq\": " << r.scq
-       << ", \"window\": [" << r.window[0] << ", " << r.window[1] << ", "
-       << r.window[2] << ", " << r.window[3] << "]}"
-       << (i + 1 < recent.size() ? "," : "") << '\n';
+  w.end_array().key("recent").begin_array();
+  for (const StepRecord& r : recent) {
+    w.begin_object().field("cycle", r.cycle);
+    w.field("kind", step_kind_name(r.kind)).field("arg", r.arg);
+    w.field("fetch_pos", r.fetch_pos).field("ldq", r.ldq);
+    w.field("sdq", r.sdq).field("scq", r.scq).key("window").begin_array();
+    for (const auto n : r.window) w.value(n);
+    w.end_array().end_object();
   }
-  os << "  ]\n}\n";
-  return os.str();
+  w.end_array().end_object();
+  return w.str();
 }
 
 std::string DeadlockReport::to_text() const {

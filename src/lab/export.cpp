@@ -6,24 +6,11 @@
 #include <stdexcept>
 
 #include "lab/serialize.hpp"
+#include "stats/json.hpp"
 
 namespace hidisc::lab {
 
 namespace {
-
-// Numbers in the field map are already canonically formatted; quote
-// nothing numeric.  (Every visit_result_fields value is numeric/bool.)
-void append_result_object(std::ostringstream& out,
-                          const machine::Result& r) {
-  out << '{';
-  bool first = true;
-  for (const auto& [name, value] : result_to_fields(r)) {
-    if (!first) out << ',';
-    first = false;
-    out << '"' << json_escape(name) << "\":" << value;
-  }
-  out << '}';
-}
 
 // Minimal CSV quoting for free-text columns (error messages may contain
 // commas and quotes).
@@ -37,66 +24,58 @@ std::string csv_quote(const std::string& s) {
   return out;
 }
 
-void append_phase_object(std::ostringstream& out, const char* name,
-                         const pipeline::PhaseStats& ph, bool last = false) {
-  out << "    \"" << name << "\": {\"total\": " << ph.total
-      << ", \"hits\": " << ph.hits << ", \"rebuilt\": " << ph.rebuilt
-      << ", \"failed\": " << ph.failed << ", \"skipped\": " << ph.skipped()
-      << ", \"ms_hits\": " << format_double(ph.ms_hits)
-      << ", \"ms_rebuilt\": " << format_double(ph.ms_rebuilt) << '}'
-      << (last ? "\n" : ",\n");
+void write_phase(stats::JsonWriter& w, const char* name,
+                 const pipeline::PhaseStats& ph) {
+  w.key(name).begin_object().field("total", ph.total).field("hits", ph.hits);
+  w.field("rebuilt", ph.rebuilt).field("failed", ph.failed);
+  w.field("skipped", ph.skipped()).field("ms_hits", ph.ms_hits);
+  w.field("ms_rebuilt", ph.ms_rebuilt).end_object();
 }
 
 }  // namespace
 
 std::string to_json(const ExperimentPlan& plan, const PlanRun& run,
                     const ExportMeta& meta) {
-  std::ostringstream out;
-  out << "{\n"
-      << "  \"plan\": \"" << json_escape(plan.name) << "\",\n"
-      << "  \"description\": \"" << json_escape(plan.description) << "\",\n"
-      << "  \"threads\": " << meta.threads << ",\n"
-      << "  \"wall_ms\": " << format_double(run.wall_ms) << ",\n"
-      << "  \"sim_cycles_per_sec\": " << format_double(run.sim_cycles_per_sec)
-      << ",\n"
-      << "  \"simulated\": " << run.simulated << ",\n"
-      << "  \"cache_hits\": " << run.cache_hits << ",\n"
-      << "  \"failed\": " << run.failed << ",\n"
-      << "  \"nodes\": {\n";
-  append_phase_object(out, "compile", run.nodes.compile);
-  append_phase_object(out, "trace", run.nodes.trace);
-  append_phase_object(out, "sim", run.nodes.sim, /*last=*/true);
-  out << "  },\n"
-      << "  \"cells\": [\n";
+  stats::JsonWriter w;
+  w.begin_object().field("plan", plan.name);
+  w.field("description", plan.description).field("threads", meta.threads);
+  w.field("wall_ms", run.wall_ms);
+  w.field("sim_cycles_per_sec", run.sim_cycles_per_sec);
+  w.field("simulated", run.simulated).field("cache_hits", run.cache_hits);
+  w.field("failed", run.failed).key("nodes").begin_object();
+  write_phase(w, "compile", run.nodes.compile);
+  write_phase(w, "trace", run.nodes.trace);
+  write_phase(w, "sim", run.nodes.sim);
+  w.end_object().key("cells").begin_array();
   for (std::size_t i = 0; i < plan.cells.size(); ++i) {
     const Cell& c = plan.cells[i];
     const CellResult& r = run.cells[i];
-    out << "    {\"workload\": \"" << json_escape(c.workload.name)
-        << "\", \"preset\": \""
-        << json_escape(machine::preset_name(c.preset)) << "\", \"tag\": \""
-        << json_escape(c.tag) << "\", \"key\": \"" << json_escape(r.key)
-        << "\", \"cached\": " << (r.from_cache ? "true" : "false")
-        << ", \"wall_ms\": " << format_double(r.wall_ms)
-        << ", \"sim_cycles_per_sec\": "
-        << format_double(r.sim_cycles_per_sec)
-        << ", \"orig_dynamic_instructions\": "
-        << r.orig_dynamic_instructions
-        << ", \"ok\": " << (r.ok() ? "true" : "false");
+    w.begin_object().field("workload", c.workload.name);
+    w.field("preset", machine::preset_name(c.preset)).field("tag", c.tag);
+    w.field("key", r.key).field("cached", r.from_cache);
+    w.field("wall_ms", r.wall_ms);
+    w.field("sim_cycles_per_sec", r.sim_cycles_per_sec);
+    w.field("orig_dynamic_instructions", r.orig_dynamic_instructions);
+    w.field("ok", r.ok());
     if (r.ok()) {
-      out << ", \"result\": ";
-      append_result_object(out, r.result);
+      // Unary + turns the bool fields into 0/1 numbers.
+      w.key("result").begin_object();
+      visit_result_fields(r.result, [&w](const std::string& name,
+                                         const auto& value) {
+        w.field(name, +value);
+      });
+      w.end_object();
     } else {
       // Failed cell: the attached diagnostics travel with the export, the
       // meaningless Result does not.
-      out << ", \"error\": \"" << json_escape(r.error)
-          << "\", \"error_class\": \"" << json_escape(r.error_class)
-          << "\", \"diagnostic\": "
-          << (r.diagnostic_json.empty() ? "null" : r.diagnostic_json);
+      w.field("error", r.error).field("error_class", r.error_class);
+      w.key("diagnostic").raw(r.diagnostic_json.empty() ? "null"
+                                                        : r.diagnostic_json);
     }
-    out << '}' << (i + 1 < plan.cells.size() ? "," : "") << '\n';
+    w.end_object();
   }
-  out << "  ]\n}\n";
-  return out.str();
+  w.end_array().end_object();
+  return w.str();
 }
 
 std::string to_csv(const ExperimentPlan& plan, const PlanRun& run) {

@@ -1,5 +1,5 @@
 // Machine-readable export of a PlanRun: JSON (full Result per cell, flat
-// dotted field names — schema in serialize.hpp / docs/LAB.md) and CSV
+// dotted field names — schema in docs/LAB.md) and CSV
 // (the headline columns).  Both are deterministic byte-for-byte for a
 // given plan outcome, so exports diff cleanly across code changes —
 // the machine-readable bench trajectory of the repo.

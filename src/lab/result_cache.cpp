@@ -1,16 +1,11 @@
 #include "lab/result_cache.hpp"
 
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "diag/quarantine.hpp"
 #include "lab/serialize.hpp"
@@ -48,6 +43,10 @@ std::optional<CacheEntry> ResultCache::load(const std::string& key) const {
   const std::string path = path_for(key);
   std::ifstream in(path);
   if (!in) return std::nullopt;
+  const auto corrupt = [&path] {
+    diag::quarantine_file(path);
+    return std::nullopt;
+  };
   std::string line;
   // A wrong header is a stale or foreign format, not corruption: report a
   // miss and leave the file to be overwritten by the next store.
@@ -67,10 +66,7 @@ std::optional<CacheEntry> ResultCache::load(const std::string& key) const {
     body += line;
     body += '\n';
     const auto space = line.find(' ');
-    if (space == std::string::npos) {  // torn line
-      diag::quarantine_file(path);
-      return std::nullopt;
-    }
+    if (space == std::string::npos) return corrupt();  // torn line
     const std::string name = line.substr(0, space);
     const std::string value = line.substr(space + 1);
     if (name == "meta.workload")
@@ -82,16 +78,10 @@ std::optional<CacheEntry> ResultCache::load(const std::string& key) const {
     else
       fields[name] = value;
   }
-  if (!checksum_ok) {
-    diag::quarantine_file(path);
-    return std::nullopt;
-  }
+  if (!checksum_ok) return corrupt();
   std::string missing;
   entry.result = result_from_fields(fields, &missing);
-  if (!missing.empty()) {  // line-aligned truncation or field drift
-    diag::quarantine_file(path);
-    return std::nullopt;
-  }
+  if (!missing.empty()) return corrupt();  // truncation or field drift
   return entry;
 }
 
@@ -105,43 +95,9 @@ bool ResultCache::store(const std::string& key,
   for (const auto& [name, value] : result_to_fields(entry.result))
     body << name << ' ' << value << '\n';
   body << checksum_line(body.str()) << '\n';
-
-  // Publish protocol for a directory shared across processes: take an
-  // advisory lock on `<entry>.lock`, write a temp file unique per
-  // process AND thread, then atomically rename it into place.  The
-  // rename alone already guarantees readers never see a torn entry; the
-  // lock additionally serializes concurrent writers of the same key so
-  // their temp-write + rename windows do not interleave.  Locking is
-  // best-effort — on a filesystem without flock the rename still keeps
-  // the entry atomic.
-  const std::string final_path = path_for(key);
-  const int lock_fd =
-      ::open((final_path + ".lock").c_str(), O_CREAT | O_RDWR | O_CLOEXEC,
-             0644);
-  if (lock_fd >= 0) ::flock(lock_fd, LOCK_EX);
-  std::ostringstream tid;
-  tid << std::this_thread::get_id();
-  const std::string tmp =
-      final_path + ".tmp." + std::to_string(::getpid()) + "." + tid.str();
-  bool ok = false;
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (out) {
-      out << body.str();
-      ok = static_cast<bool>(out.flush());
-    }
-  }
-  if (ok) {
-    std::error_code ec;
-    fs::rename(tmp, final_path, ec);
-    ok = !ec;
-  }
-  if (!ok) std::remove(tmp.c_str());
-  if (lock_fd >= 0) {
-    ::flock(lock_fd, LOCK_UN);
-    ::close(lock_fd);
-  }
-  return ok;
+  return diag::publish_file(path_for(key), [&body](std::ostream& out) {
+    out << body.str();
+  });
 }
 
 }  // namespace hidisc::lab

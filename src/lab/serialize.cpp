@@ -1,7 +1,8 @@
 #include "lab/serialize.hpp"
 
-#include <cstdio>
 #include <cstdlib>
+
+#include "stats/json.hpp"
 
 namespace hidisc::lab {
 
@@ -10,7 +11,7 @@ namespace {
 std::string format_value(std::uint64_t v) { return std::to_string(v); }
 std::string format_value(std::int64_t v) { return std::to_string(v); }
 std::string format_value(bool v) { return v ? "1" : "0"; }
-std::string format_value(double v) { return format_double(v); }
+std::string format_value(double v) { return stats::format_double(v); }
 
 void parse_value(const std::string& s, std::uint64_t& out) {
   out = std::strtoull(s.c_str(), nullptr, 10);
@@ -24,12 +25,6 @@ void parse_value(const std::string& s, double& out) {
 }
 
 }  // namespace
-
-std::string format_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 std::map<std::string, std::string> result_to_fields(
     const machine::Result& r) {
@@ -68,29 +63,6 @@ std::uint64_t fnv1a64(std::string_view data, std::uint64_t state) noexcept {
     state *= 1099511628211ull;
   }
   return state;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace hidisc::lab

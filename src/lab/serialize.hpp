@@ -1,20 +1,11 @@
-// machine::Result <-> flat named fields, and the JSON/CSV exporters.
+// machine::Result <-> flat named fields.
 //
 // One visitor (`visit_result_fields`) enumerates every scalar field of a
 // Result under a stable dotted name ("l1.read_misses", "cp.lod_stalls").
-// The on-disk cache format, the JSON export, the CSV export, and the
-// exact-equality test helper are all derived from that single listing, so
-// a field added to Result shows up everywhere by adding one line here.
-//
-// JSON schema (docs/LAB.md documents it for external consumers):
-//   { "plan": str, "description": str, "threads": int, "wall_ms": num,
-//     "failed": int,
-//     "cells": [ { "workload": str, "preset": str, "tag": str,
-//                  "key": str, "cached": bool, "wall_ms": num,
-//                  "orig_dynamic_instructions": int, "ok": bool,
-//                  "result": { "<dotted field>": num, ... },   // ok cells
-//                  "error": str, "error_class": str,           // failed
-//                  "diagnostic": obj|null } ] }                // cells
+// The on-disk cache format, the service wire format, the JSON export
+// (schema in docs/LAB.md), and the exact-equality test helper are all
+// derived from that single listing, so a field added to Result shows up
+// everywhere by adding one line here.
 #pragma once
 
 #include <cstdint>
@@ -129,11 +120,6 @@ void visit_result_fields(R& r, V&& v) {
 // True when every visited field compares equal (doubles bit-for-bit).
 [[nodiscard]] bool results_identical(const machine::Result& a,
                                      const machine::Result& b);
-
-// JSON string escaping + number formatting helpers shared by the export
-// and the cache.
-[[nodiscard]] std::string json_escape(const std::string& s);
-[[nodiscard]] std::string format_double(double v);
 
 // FNV-1a 64-bit hash; the result cache's and trace store's checksum
 // footer.  Passing the previous call's return value as `state` continues

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "lab/serialize.hpp"
+#include "stats/json.hpp"
 
 namespace hidisc::serve {
 
@@ -230,8 +231,8 @@ KvMap cell_result_to_kv(const lab::CellResult& r) {
   kv["key"] = r.key;
   kv["odi"] = format_u64(r.orig_dynamic_instructions);
   kv["cached"] = r.from_cache ? "1" : "0";
-  kv["wall_ms"] = lab::format_double(r.wall_ms);
-  kv["scps"] = lab::format_double(r.sim_cycles_per_sec);
+  kv["wall_ms"] = stats::format_double(r.wall_ms);
+  kv["scps"] = stats::format_double(r.sim_cycles_per_sec);
   kv["error"] = r.error;
   kv["error_class"] = r.error_class;
   kv["diagnostic"] = r.diagnostic_json;

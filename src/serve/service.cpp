@@ -25,6 +25,7 @@
 #include "serve/journal.hpp"
 #include "serve/transport.hpp"
 #include "serve/worker.hpp"
+#include "stats/json.hpp"
 
 namespace hidisc::serve {
 
@@ -463,7 +464,7 @@ void Service::deliver_cell(std::uint64_t plan_id, std::size_t cell,
     done["cached"] = std::to_string(ps.cached);
     done["dedup"] = std::to_string(ps.deduped);
     done["failed"] = std::to_string(ps.failed);
-    done["wall_ms"] = lab::format_double(
+    done["wall_ms"] = stats::format_double(
         static_cast<double>(now_ms() - ps.start_ms));
     if (client)
       queue_to_client(*client, Frame{MsgType::PlanDone, kv_encode(done)});
@@ -774,69 +775,48 @@ std::string Service::stats_json() const {
   for (const auto& [id, p] : plans_)
     if (p.client < 0) ++detached_plans;
 
-  std::string out = "{\n";
-  const auto num = [&out](const char* k, std::uint64_t v, bool last = false) {
-    out += std::string("  \"") + k + "\": " + std::to_string(v) +
-           (last ? "\n" : ",\n");
-  };
-  out += "  \"uptime_ms\": " + std::to_string(now_ms()) + ",\n";
-  out += "  \"draining\": " + std::string(draining_ ? "true" : "false") +
-         ",\n";
-  out += "  \"workers\": [";
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    const WorkerProc& w = workers_[i];
-    out += std::string(i ? ", " : "") + "{\"pid\": " +
-           std::to_string(w.pid) +
-           ", \"busy\": " + (w.busy ? "true" : "false") +
-           ", \"jobs\": " + std::to_string(w.jobs_done) + "}";
-  }
-  out += "],\n";
-  num("worker_restarts", n_.worker_restarts);
-  num("worker_timeouts", n_.worker_timeouts);
-  num("clients_connected", connected);
-  num("clients_total", n_.clients_total);
-  num("clients_dropped_idle", n_.clients_dropped_idle);
-  num("clients_dropped_slow", n_.clients_dropped_slow);
-  num("plans_submitted", n_.plans_submitted);
-  num("plans_completed", n_.plans_completed);
-  num("plans_active", plans_.size());
-  num("plans_detached", detached_plans);
-  num("cells_total", n_.cells_total);
-  num("jobs_queued", queued);
-  num("jobs_running", running);
-  num("jobs_done", n_.jobs_done);
-  num("jobs_failed", n_.jobs_failed);
-  num("cells_failed", n_.cells_failed);
-  num("retries", n_.retries);
-  num("dedup_hits", n_.dedup_hits);
-  num("mem_hits", n_.mem_hits);
-  num("disk_cache_hits", n_.disk_cache_hits);
-  num("cross_client_shared_jobs", n_.cross_client_shared_jobs);
-  num("compile_nodes_rebuilt", n_.compile_nodes_rebuilt);
-  num("trace_nodes_hit", n_.trace_nodes_hit);
-  num("trace_nodes_rebuilt", n_.trace_nodes_rebuilt);
-  num("journal_records_replayed", n_.journal_records_replayed);
-  num("journal_bad_bytes", n_.journal_bad_bytes);
-  num("journal_plans_recovered", n_.journal_plans_recovered);
-  num("journal_cells_recovered", n_.journal_cells_recovered);
-  num("resumes", n_.resumes);
-  num("resume_unknown_token", n_.resume_unknown_token);
-  num("chaos_conns", fault_plan_.conns());
-  num("chaos_drops_injected", fault_plan_.drops_injected());
-  num("chaos_corruptions_injected", fault_plan_.corruptions_injected());
-  num("chaos_stalls_injected", fault_plan_.stalls_injected());
-  out += "  \"cell_latency_ms\": {\"count\": " +
-         std::to_string(n_.lat_count) +
-         ", \"total\": " + lab::format_double(n_.lat_total_ms) +
-         ", \"min\": " + lab::format_double(n_.lat_min_ms) +
-         ", \"max\": " + lab::format_double(n_.lat_max_ms) + ", \"avg\": " +
-         lab::format_double(n_.lat_count
-                                ? n_.lat_total_ms /
-                                      static_cast<double>(n_.lat_count)
-                                : 0.0) +
-         "}\n";
-  out += "}\n";
-  return out;
+  stats::JsonWriter w;
+  w.begin_object().field("uptime_ms", now_ms()).field("draining", draining_);
+  w.key("workers").begin_array();
+  for (const WorkerProc& wp : workers_)
+    w.begin_object().field("pid", wp.pid).field("busy", wp.busy)
+        .field("jobs", wp.jobs_done).end_object();
+  w.end_array();
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"worker_restarts", n_.worker_restarts},
+      {"worker_timeouts", n_.worker_timeouts}, {"clients_connected", connected},
+      {"clients_total", n_.clients_total},
+      {"clients_dropped_idle", n_.clients_dropped_idle},
+      {"clients_dropped_slow", n_.clients_dropped_slow},
+      {"plans_submitted", n_.plans_submitted},
+      {"plans_completed", n_.plans_completed}, {"plans_active", plans_.size()},
+      {"plans_detached", detached_plans}, {"cells_total", n_.cells_total},
+      {"jobs_queued", queued}, {"jobs_running", running},
+      {"jobs_done", n_.jobs_done}, {"jobs_failed", n_.jobs_failed},
+      {"cells_failed", n_.cells_failed}, {"retries", n_.retries},
+      {"dedup_hits", n_.dedup_hits}, {"mem_hits", n_.mem_hits},
+      {"disk_cache_hits", n_.disk_cache_hits},
+      {"cross_client_shared_jobs", n_.cross_client_shared_jobs},
+      {"compile_nodes_rebuilt", n_.compile_nodes_rebuilt},
+      {"trace_nodes_hit", n_.trace_nodes_hit},
+      {"trace_nodes_rebuilt", n_.trace_nodes_rebuilt},
+      {"journal_records_replayed", n_.journal_records_replayed},
+      {"journal_bad_bytes", n_.journal_bad_bytes},
+      {"journal_plans_recovered", n_.journal_plans_recovered},
+      {"journal_cells_recovered", n_.journal_cells_recovered},
+      {"resumes", n_.resumes},
+      {"resume_unknown_token", n_.resume_unknown_token},
+      {"chaos_conns", fault_plan_.conns()},
+      {"chaos_drops_injected", fault_plan_.drops_injected()},
+      {"chaos_corruptions_injected", fault_plan_.corruptions_injected()},
+      {"chaos_stalls_injected", fault_plan_.stalls_injected()}};
+  for (const auto& [name, count] : counters) w.field(name, count);
+  const double avg =
+      n_.lat_count ? n_.lat_total_ms / static_cast<double>(n_.lat_count) : 0.0;
+  w.key("cell_latency_ms").begin_object().field("count", n_.lat_count);
+  w.field("total", n_.lat_total_ms).field("min", n_.lat_min_ms);
+  w.field("max", n_.lat_max_ms).field("avg", avg).end_object().end_object();
+  return w.str();
 }
 
 void Service::write_stats_file() {

@@ -303,4 +303,27 @@ TEST(DiagQuarantine, FileMoveKeepsTheSpecimen) {
   EXPECT_EQ(slurp(dest), "specimen-bytes");
 }
 
+// --- atomic publish ----------------------------------------------------------
+
+TEST(DiagPublish, WritesTheEntryAndLeavesNoTempOnFailure) {
+  TempDir dir;
+  const std::string entry = dir.path + "/entry";
+  EXPECT_TRUE(diag::publish_file(entry, [](std::ostream& o) { o << "v1"; }));
+  EXPECT_EQ(slurp(entry), "v1");
+
+  // A failed write keeps the published entry and removes its temp file.
+  EXPECT_FALSE(diag::publish_file(entry, [](std::ostream& o) {
+    o << "torn";
+    o.setstate(std::ios::badbit);
+  }));
+  EXPECT_EQ(slurp(entry), "v1");
+  for (const auto& f : fs::directory_iterator(dir.path)) {
+    const std::string name = f.path().filename().string();
+    EXPECT_TRUE(name == "entry" || name == "entry.lock") << name;
+  }
+
+  EXPECT_FALSE(diag::publish_file(dir.path + "/missing/entry",
+                                  [](std::ostream& o) { o << "x"; }));
+}
+
 }  // namespace

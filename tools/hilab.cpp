@@ -46,6 +46,7 @@
 #include "lab/thread_pool.hpp"
 #include "serve/client.hpp"
 #include "serve/worker.hpp"
+#include "stats/json.hpp"
 #include "stats/table.hpp"
 
 namespace {
@@ -87,7 +88,8 @@ int usage(const char* argv0) {
       "  --json FILE       export full results as JSON ('-' = stdout)\n"
       "  --csv FILE        export summary rows as CSV ('-' = stdout)\n"
       "  --bench-json FILE write a google-benchmark-style JSON with this\n"
-      "                    run's cells/sec (for tools/perf_gate.py)\n"
+      "                    run's cells/sec (for tools/perf_gate.py; '-' =\n"
+      "                    stdout)\n"
       "  --bench-name NAME benchmark name for --bench-json (default\n"
       "                    SVC_<plan>)\n"
       "  --quiet           suppress the per-cell progress line\n",
@@ -183,19 +185,13 @@ void write_bench_json(const std::string& path, const std::string& name,
                       std::size_t cells, double wall_ms) {
   const double cells_per_sec =
       wall_ms > 0.0 ? static_cast<double>(cells) * 1000.0 / wall_ms : 0.0;
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "{\n  \"benchmarks\": [\n    {\n"
-                "      \"name\": \"%s\",\n"
-                "      \"run_type\": \"iteration\",\n"
-                "      \"iterations\": 1,\n"
-                "      \"real_time\": %.6g,\n"
-                "      \"time_unit\": \"ms\",\n"
-                "      \"items_per_second\": %.17g,\n"
-                "      \"label\": \"items = cells\"\n"
-                "    }\n  ]\n}\n",
-                name.c_str(), wall_ms, cells_per_sec);
-  lab::write_text_file(path, buf);
+  stats::JsonWriter w;
+  w.begin_object().key("benchmarks").begin_array().begin_object();
+  w.field("name", name).field("run_type", "iteration").field("iterations", 1);
+  w.field("real_time", wall_ms).field("time_unit", "ms");
+  w.field("items_per_second", cells_per_sec).field("label", "items = cells");
+  w.end_object().end_array().end_object();
+  lab::write_text_file(path, w.str());
 }
 
 }  // namespace
@@ -369,8 +365,8 @@ int main(int argc, char** argv) {
     }
 
     // An export aimed at stdout owns it: keep the human report off the pipe.
-    const bool stdout_export =
-        json_path == "-" || csv_path == "-" || stats_path == "-";
+    const bool stdout_export = json_path == "-" || csv_path == "-" ||
+                               stats_path == "-" || bench_json == "-";
     if (!stdout_export) {
       stats::Table table({"Workload", "Preset", "Tag", "Cycles", "IPC",
                           "L1 miss rate", "Source"});

@@ -246,12 +246,9 @@ int main(int argc, char** argv) {
                  e.report().to_text().c_str());
     if (!g_deadlock_json_path.empty()) {
       std::ofstream out(g_deadlock_json_path, std::ios::trunc);
-      if (out) {
-        out << e.report().to_json() << '\n';
-      } else {
+      if (!(out << e.report().to_json()))
         std::fprintf(stderr, "hisa: cannot write %s\n",
                      g_deadlock_json_path.c_str());
-      }
     }
     return 3;
   } catch (const std::exception& e) {
