@@ -29,7 +29,7 @@ int main() {
                                                          : "gshare",
            stats::Table::num(base.branch.mispredict_rate()),
            std::to_string(base.cycles),
-           stats::Table::num(static_cast<double>(base.cycles) / hd.cycles)});
+           stats::Table::num(lab::speedup(base, hd))});
     }
   }
   printf("%s\n", table.to_string().c_str());

@@ -26,7 +26,7 @@ int main() {
       const auto r = bench::run_preset(p, machine::Preset::CPAP, cfg);
       table.add_row(
           {std::to_string(cap), std::to_string(r.cycles),
-           stats::Table::num(static_cast<double>(base.cycles) / r.cycles),
+           stats::Table::num(lab::speedup(base, r)),
            std::to_string(r.ldq.empty_stall_cycles)});
     }
     printf("%s\n", table.to_string().c_str());
@@ -45,7 +45,7 @@ int main() {
       const auto r = bench::run_preset(p, machine::Preset::HiDISC, cfg);
       table.add_row(
           {std::to_string(buf), std::to_string(r.cycles),
-           stats::Table::num(static_cast<double>(base.cycles) / r.cycles),
+           stats::Table::num(lab::speedup(base, r)),
            stats::Table::num(r.l1_demand_miss_rate())});
     }
     printf("%s\n", table.to_string().c_str());
@@ -66,7 +66,7 @@ int main() {
       table.add_row(
           {std::to_string(bus), std::to_string(base.cycles),
            std::to_string(hd.cycles),
-           stats::Table::num(static_cast<double>(base.cycles) / hd.cycles)});
+           stats::Table::num(lab::speedup(base, hd))});
     }
     printf("%s\n", table.to_string().c_str());
     printf("Prefetch traffic shares the bus with demand misses: with "
@@ -92,8 +92,8 @@ int main() {
                                         chaining);
       table.add_row(
           {w.name,
-           stats::Table::num(static_cast<double>(base.cycles) / rp.cycles),
-           stats::Table::num(static_cast<double>(base.cycles) / rc.cycles),
+           stats::Table::num(lab::speedup(base, rp)),
+           stats::Table::num(lab::speedup(base, rc)),
            std::to_string(rp.cmas_uops), std::to_string(rc.cmas_uops)});
     }
     printf("%s\n", table.to_string().c_str());

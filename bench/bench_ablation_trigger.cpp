@@ -40,7 +40,7 @@ int main() {
       const auto r = bench::run_preset(p, machine::Preset::HiDISC, cfg);
       table.add_row(
           {std::to_string(distance), std::to_string(r.cycles),
-           stats::Table::num(static_cast<double>(base.cycles) / r.cycles),
+           stats::Table::num(lab::speedup(base, r)),
            std::to_string(r.l1.useful_prefetches),
            std::to_string(r.l1.late_fill_hits)});
     }
@@ -62,8 +62,8 @@ int main() {
       const auto rd = bench::run_preset(p, machine::Preset::HiDISC, cfg);
       table.add_row(
           {std::to_string(start),
-           stats::Table::num(static_cast<double>(base.cycles) / rs.cycles),
-           stats::Table::num(static_cast<double>(base.cycles) / rd.cycles),
+           stats::Table::num(lab::speedup(base, rs)),
+           stats::Table::num(lab::speedup(base, rd)),
            std::to_string(rd.distance_adaptations)});
     }
     printf("%s\n", table.to_string().c_str());

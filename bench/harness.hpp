@@ -1,12 +1,11 @@
-// Shared infrastructure for the paper-reproduction bench binaries.
+// Shared infrastructure for the ablation bench binaries.
 //
-// Each bench binary regenerates one table or figure of the paper
-// (DESIGN.md §4 maps experiment ids to binaries).  The figure/table
-// binaries (Fig. 8/9/10, Table 2) run whole plans through the hidisc-lab
-// orchestrator (src/lab/); the ablation binaries, which iterate over
-// bespoke config axes, use the direct prepare()/run_preset() path below.
+// The paper's figures and tables render from their plans (`hilab --plan
+// fig8` etc., src/lab/figures.hpp); the ablation binaries, which iterate
+// over bespoke config axes, use the direct prepare()/run_preset() path
+// below.
 //
-// Both paths sit on the same artifact pipeline (src/pipeline/,
+// That path sits on the artifact pipeline (src/pipeline/,
 // docs/PIPELINE.md): prepare() submits compile and trace nodes to a
 // process-lifetime pipeline session, so two ablation loops over the same
 // workload share one compilation and one functional trace, and — when
@@ -22,8 +21,7 @@
 #include <vector>
 
 #include "compiler/compile.hpp"
-#include "lab/runner.hpp"
-#include "lab/thread_pool.hpp"
+#include "lab/figures.hpp"
 #include "machine/machine.hpp"
 #include "pipeline/executor.hpp"
 #include "pipeline/trace_store.hpp"
@@ -45,10 +43,6 @@ struct PreparedWorkload {
     return compile->comp;
   }
 };
-
-inline const std::vector<machine::Preset>& all_presets() {
-  return lab::all_presets();
-}
 
 // One pipeline session per bench process: compile and trace artifacts are
 // memoized across every prepare() call.  With $HILAB_CACHE_DIR set the
@@ -82,7 +76,7 @@ inline PreparedWorkload prepare(const workloads::BuiltWorkload& w,
 
 inline PreparedWorkload prepare(const workloads::BuiltWorkload& w,
                                 const compiler::CompileOptions& opt = {}) {
-  return prepare(w, all_presets(), opt);
+  return prepare(w, lab::all_presets(), opt);
 }
 
 inline machine::Result run_preset(const PreparedWorkload& p,
@@ -92,16 +86,6 @@ inline machine::Result run_preset(const PreparedWorkload& p,
   return machine::run_machine(
       sep ? p.comp().separated : p.comp().original,
       sep ? p.sep->trace : p.orig->trace, preset, cfg);
-}
-
-// Lab run options shared by the figure/table binaries: thread count from
-// $HILAB_THREADS (default: all cores), persistent cache from
-// $HILAB_CACHE_DIR (default: off, so bench runs stay self-contained).
-inline lab::RunOptions lab_options() {
-  lab::RunOptions opt;
-  opt.threads = lab::default_threads();
-  if (const char* dir = std::getenv("HILAB_CACHE_DIR")) opt.cache_dir = dir;
-  return opt;
 }
 
 }  // namespace hidisc::bench

@@ -4,18 +4,11 @@
 #include <cstdio>
 
 #include "isa/encoding.hpp"
+#include "lab/serialize.hpp"
 #include "mem/memory_system.hpp"
 #include "uarch/core.hpp"
 
 namespace hidisc::lab {
-
-void Fnv1a::update(const void* data, std::size_t n) noexcept {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    state_ ^= p[i];
-    state_ *= 0x100000001b3ull;
-  }
-}
 
 namespace {
 
@@ -137,10 +130,16 @@ std::string describe(const compiler::CompileOptions& opt) {
   return d.take();
 }
 
-std::string hex128(const Fnv1a& lo, const Fnv1a& hi) {
+std::string key128(std::initializer_list<std::string_view> parts) {
+  // Two independently seeded streams -> 128 bits; collisions across a
+  // cache directory of any realistic size are then out of the question.
+  std::uint64_t lo = kFnv1a64Basis, hi = 0x9e3779b97f4a7c15ull;
+  for (const auto part : parts) {
+    lo = fnv1a64(part, lo);
+    hi = fnv1a64(part, hi);
+  }
   char buf[33];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64 "%016" PRIx64, lo.digest(),
-                hi.digest());
+  std::snprintf(buf, sizeof buf, "%016" PRIx64 "%016" PRIx64, lo, hi);
   return buf;
 }
 
@@ -152,16 +151,8 @@ std::string content_key(const isa::Program& binary, machine::Preset preset,
 std::string content_key_image(const std::vector<std::uint8_t>& image,
                               machine::Preset preset,
                               const machine::MachineConfig& cfg) {
-  const std::string cfg_desc = describe(cfg);
-  // Two independently seeded streams -> 128 bits; collisions across a
-  // cache directory of any realistic size are then out of the question.
-  Fnv1a lo, hi(0x9e3779b97f4a7c15ull);
-  for (Fnv1a* h : {&lo, &hi}) {
-    h->update(image.data(), image.size());
-    h->update(machine::preset_name(preset));
-    h->update(cfg_desc);
-  }
-  return hex128(lo, hi);
+  return key128({bytes_of(image), machine::preset_name(preset),
+                 describe(cfg)});
 }
 
 }  // namespace hidisc::lab

@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "compiler/compile.hpp"
@@ -18,30 +20,24 @@
 
 namespace hidisc::lab {
 
-// 64-bit FNV-1a, seedable so two independent streams give 128 bits.
-class Fnv1a {
- public:
-  explicit Fnv1a(std::uint64_t seed = 0xcbf29ce484222325ull)
-      : state_(seed) {}
-
-  void update(const void* data, std::size_t n) noexcept;
-  void update(const std::string& s) noexcept { update(s.data(), s.size()); }
-  [[nodiscard]] std::uint64_t digest() const noexcept { return state_; }
-
- private:
-  std::uint64_t state_;
-};
-
 // Canonical `key=value;` listing of every field that affects timing.
 // Appends here whenever MachineConfig/CompileOptions grow a field — the
 // lab_test fingerprint-sensitivity test guards the common cases.
 [[nodiscard]] std::string describe(const machine::MachineConfig& cfg);
 [[nodiscard]] std::string describe(const compiler::CompileOptions& opt);
 
-// 32-hex digest of two seeded FNV-1a streams that were fed identical
-// bytes — the shared 128-bit formatting primitive for every
-// content-addressed key (result cache entries, pipeline node keys).
-[[nodiscard]] std::string hex128(const Fnv1a& lo, const Fnv1a& hi);
+// 32-hex digest of the concatenated `parts`, hashed by two fnv1a64
+// (serialize.hpp) streams from different seeds — the shared 128-bit
+// primitive for every content-addressed key (result cache entries,
+// pipeline node keys).
+[[nodiscard]] std::string key128(
+    std::initializer_list<std::string_view> parts);
+
+// The bytes of an encoded program image, for key128.
+[[nodiscard]] inline std::string_view bytes_of(
+    const std::vector<std::uint8_t>& image) {
+  return {reinterpret_cast<const char*>(image.data()), image.size()};
+}
 
 // 32-hex-digit content key of one simulation: the exact binary fed to the
 // machine (post-compilation, annotations included), the preset, and the

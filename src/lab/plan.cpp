@@ -1,5 +1,6 @@
 #include "lab/plan.hpp"
 
+#include <initializer_list>
 #include <stdexcept>
 
 namespace hidisc::lab {
@@ -29,20 +30,18 @@ std::vector<WorkloadSpec> build_registry() {
   };
 }
 
-// The seven benchmarks of the paper's Figure 8, in plot order.
-std::vector<WorkloadSpec> paper_specs(workloads::Scale scale) {
-  std::vector<WorkloadSpec> specs;
-  for (const char* n :
-       {"DM", "RayTray", "Pointer", "Update", "Field", "Neighborhood", "TC"})
-    specs.push_back(spec(n, scale));
-  return specs;
+std::vector<WorkloadSpec> specs(std::initializer_list<const char*> names,
+                                workloads::Scale scale) {
+  std::vector<WorkloadSpec> out;
+  for (const char* n : names) out.push_back(spec(n, scale));
+  return out;
 }
 
-std::vector<WorkloadSpec> extra_specs(workloads::Scale scale) {
-  std::vector<WorkloadSpec> specs;
-  for (const char* n : {"Matrix", "CornerTurn", "FFT", "Image"})
-    specs.push_back(spec(n, scale));
-  return specs;
+// The seven benchmarks of the paper's Figure 8, in plot order.
+std::vector<WorkloadSpec> paper_specs(workloads::Scale scale) {
+  return specs(
+      {"DM", "RayTray", "Pointer", "Update", "Field", "Neighborhood", "TC"},
+      scale);
 }
 
 // workloads x presets under one fixed config.
@@ -110,22 +109,22 @@ ExperimentPlan plan_table2(workloads::Scale scale) {
 
 ExperimentPlan plan_extra(workloads::Scale scale) {
   return grid("extra", "the non-plotted DIS workloads under all presets",
-              extra_specs(scale));
+              specs({"Matrix", "CornerTurn", "FFT", "Image"}, scale));
 }
 
 ExperimentPlan plan_fig10(workloads::Scale scale) {
-  ExperimentPlan plan = latency_sweep(
-      "fig10", {spec("Pointer", scale), spec("Neighborhood", scale)},
-      all_presets(), {{4, 40}, {8, 80}, {12, 120}, {16, 160}});
+  ExperimentPlan plan =
+      latency_sweep("fig10", specs({"Pointer", "Neighborhood"}, scale),
+                    all_presets(), {{4, 40}, {8, 80}, {12, 120}, {16, 160}});
   plan.description = "IPC of Pointer/Neighborhood across the (L2, DRAM) "
                      "latency sweep";
   return plan;
 }
 
 ExperimentPlan plan_prefetch(workloads::Scale scale) {
-  // The four paper presets, plus CP+AP with a hardware prefetcher on the
-  // L1D — "would a conventional prefetcher beat the CMP?" across the
-  // Fig. 10 latency sweep.  The pf cells reuse the CPAP preset with a
+  // The Fig. 10 sweep plus CP+AP with a hardware prefetcher on the L1D
+  // after each latency point's four presets — "would a conventional
+  // prefetcher beat the CMP?".  The pf cells reuse the CPAP preset with a
   // distinct "+pf" tag so find() keeps the curves apart.
   ExperimentPlan plan{"prefetch",
                       "superscalar / CP+AP / CP+CMP / HiDISC / CP+AP+hw-"
@@ -135,20 +134,15 @@ ExperimentPlan plan_prefetch(workloads::Scale scale) {
   pf.kind = mem::PrefetchKind::IpStride;
   pf.degree = 2;
   pf.distance = 4;
-  for (const auto& w : {spec("Pointer", scale), spec("Neighborhood", scale)})
-    for (const auto& [l2, dram] : std::vector<std::pair<int, int>>{
-             {4, 40}, {8, 80}, {12, 120}, {16, 160}}) {
-      machine::MachineConfig cfg;
-      cfg.mem = mem::MemConfig::with_latencies(l2, dram);
-      const std::string tag =
-          std::to_string(l2) + "/" + std::to_string(dram);
-      for (const auto preset : all_presets())
-        plan.cells.push_back(Cell{w, preset, cfg, {}, tag});
-      machine::MachineConfig pf_cfg = cfg;
-      pf_cfg.mem.prefetch = pf;
-      plan.cells.push_back(
-          Cell{w, machine::Preset::CPAP, pf_cfg, {}, tag + "+pf"});
-    }
+  for (const auto& cell : plan_fig10(scale).cells) {
+    plan.cells.push_back(cell);
+    if (cell.preset != all_presets().back()) continue;
+    Cell pf_cell = cell;
+    pf_cell.preset = machine::Preset::CPAP;
+    pf_cell.config.mem.prefetch = pf;
+    pf_cell.tag += "+pf";
+    plan.cells.push_back(std::move(pf_cell));
+  }
   return plan;
 }
 

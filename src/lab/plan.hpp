@@ -61,8 +61,8 @@ struct ExperimentPlan {
   std::vector<Cell> cells;
 
   // Index of the first cell matching (workload display name, preset,
-  // tag); -1 when absent.  Cell lookups in the bench binaries go through
-  // this so the table code is independent of cell ordering.
+  // tag); -1 when absent.  The figure tables (figures.hpp) look their
+  // cells up through this, so they are independent of cell ordering.
   [[nodiscard]] std::int64_t find(const std::string& workload,
                                   machine::Preset preset,
                                   const std::string& tag = "") const;

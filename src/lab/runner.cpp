@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <optional>
-#include <stdexcept>
 
 #include "lab/result_cache.hpp"
 #include "lab/thread_pool.hpp"
@@ -21,17 +20,6 @@ double ms_since(Clock::time_point start) {
 }
 
 }  // namespace
-
-const CellResult& PlanRun::at(const ExperimentPlan& plan,
-                              const std::string& workload,
-                              machine::Preset preset,
-                              const std::string& tag) const {
-  const auto idx = plan.find(workload, preset, tag);
-  if (idx < 0)
-    throw std::out_of_range("plan " + plan.name + " has no cell " + workload +
-                            "/" + machine::preset_name(preset));
-  return cells.at(static_cast<std::size_t>(idx));
-}
 
 // Thin driver over the artifact pipeline (src/pipeline/): materialize the
 // stores, submit the plan's cells as one node set, translate the outcome

@@ -93,11 +93,6 @@ struct PlanRun {
   double sim_cycles_per_sec = 0.0;
 
   [[nodiscard]] bool ok() const noexcept { return failed == 0; }
-
-  [[nodiscard]] const CellResult& at(const ExperimentPlan& plan,
-                                     const std::string& workload,
-                                     machine::Preset preset,
-                                     const std::string& tag = "") const;
 };
 
 // Runs every cell of `plan`.  A cell whose prep, trace or simulation

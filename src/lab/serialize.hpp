@@ -122,7 +122,8 @@ void visit_result_fields(R& r, V&& v) {
                                      const machine::Result& b);
 
 // FNV-1a 64-bit hash; the result cache's and trace store's checksum
-// footer.  Passing the previous call's return value as `state` continues
+// footer, and both streams of every content key (fingerprint.hpp's
+// key128).  Passing the previous call's return value as `state` continues
 // the hash, so a chain of calls over consecutive spans equals one call over
 // their concatenation.
 inline constexpr std::uint64_t kFnv1a64Basis = 14695981039346656037ull;

@@ -11,42 +11,23 @@ namespace {
 constexpr const char* kCompileTag = "pipeline.compile|";
 constexpr const char* kTraceTag = "pipeline.trace|";
 
-std::string two_stream_key(const char* tag,
-                           const std::vector<std::uint8_t>& bytes,
-                           const std::string& extra) {
-  lab::Fnv1a lo, hi(0x9e3779b97f4a7c15ull);
-  for (lab::Fnv1a* h : {&lo, &hi}) {
-    h->update(tag, std::char_traits<char>::length(tag));
-    h->update(bytes.data(), bytes.size());
-    h->update(extra);
-  }
-  return lab::hex128(lo, hi);
-}
-
 }  // namespace
 
 std::string compile_key(const lab::WorkloadSpec& spec,
                         const compiler::CompileOptions& opt) {
-  lab::Fnv1a lo, hi(0x9e3779b97f4a7c15ull);
-  const std::string id = spec.id();
-  const std::string opt_desc = lab::describe(opt);
-  for (lab::Fnv1a* h : {&lo, &hi}) {
-    h->update(kCompileTag, std::char_traits<char>::length(kCompileTag));
-    h->update(id);
-    h->update(opt_desc);
-  }
-  return lab::hex128(lo, hi);
+  return lab::key128({kCompileTag, spec.id(), lab::describe(opt)});
 }
 
 std::string compile_key(const std::vector<std::uint8_t>& program_image,
                         const compiler::CompileOptions& opt) {
-  return two_stream_key(kCompileTag, program_image, lab::describe(opt));
+  return lab::key128(
+      {kCompileTag, lab::bytes_of(program_image), lab::describe(opt)});
 }
 
 std::string trace_key(const std::vector<std::uint8_t>& binary_image,
                       std::uint64_t max_steps) {
-  return two_stream_key(kTraceTag, binary_image,
-                        "max_steps=" + std::to_string(max_steps) + ";");
+  return lab::key128({kTraceTag, lab::bytes_of(binary_image),
+                      "max_steps=" + std::to_string(max_steps) + ";"});
 }
 
 std::string sim_key(const std::vector<std::uint8_t>& binary_image,

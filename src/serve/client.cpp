@@ -32,29 +32,38 @@ class ResumeRejected : public std::runtime_error {
   throw std::runtime_error(msg);
 }
 
+// A connection to the daemon that remembers when it last sent: the
+// outbound heartbeat is due heartbeat_ms after the last frame of any
+// kind, however many frames have arrived since.
+struct Link {
+  FaultConn conn;
+  Clock::time_point last_send = Clock::now();
+
+  void send(const Frame& f) {
+    conn.send_frame(f);
+    last_send = Clock::now();
+  }
+};
+
 // Next frame of substance: Pings are answered, Pongs absorbed, Error
 // frames thrown.  Frame silence is heartbeated — after heartbeat_ms we
 // Ping, after dead_after_ms of total silence the daemon is declared
 // dead (TransportError, which the reconnect loop owns).
-Frame expect_stream(FaultConn& conn, const ClientOptions& opt) {
+Frame expect_stream(Link& link, const ClientOptions& opt) {
   const int beat = opt.heartbeat_ms > 0 ? opt.heartbeat_ms : 2500;
   const int dead_after = std::max(opt.dead_after_ms, beat);
   int silent_ms = 0;
-  auto last_send = Clock::now();
-  const auto ping = [&] {
-    conn.send_frame(Frame{MsgType::Ping, ""});
-    last_send = Clock::now();
-  };
+  const auto ping = [&] { link.send(Frame{MsgType::Ping, ""}); };
   for (;;) {
     // Keep the *outbound* heartbeat going even while the daemon is
     // streaming: the daemon reaps clients on inbound silence, and a
     // client that only receives would look dead to it.
-    if (std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                              last_send)
+    if (std::chrono::duration_cast<std::chrono::milliseconds>(
+            Clock::now() - link.last_send)
             .count() >= beat)
       ping();
     bool timed_out = false;
-    auto f = conn.recv_frame_for(beat, &timed_out);
+    auto f = link.conn.recv_frame_for(beat, &timed_out);
     if (timed_out) {
       silent_ms += beat;
       if (silent_ms >= dead_after)
@@ -68,7 +77,7 @@ Frame expect_stream(FaultConn& conn, const ClientOptions& opt) {
     silent_ms = 0;
     if (f->type == MsgType::Pong) continue;
     if (f->type == MsgType::Ping) {
-      conn.send_frame(Frame{MsgType::Pong, ""});
+      link.send(Frame{MsgType::Pong, ""});
       continue;
     }
     if (f->type == MsgType::Error) throw_daemon_error(*f);
@@ -76,19 +85,18 @@ Frame expect_stream(FaultConn& conn, const ClientOptions& opt) {
   }
 }
 
-FaultConn handshake(const ClientOptions& opt, FaultPlan* chaos) {
+Link handshake(const ClientOptions& opt, FaultPlan* chaos) {
   Conn raw = connect_to(opt.endpoint);
-  FaultConn conn = (chaos && chaos->enabled())
-                       ? FaultConn(std::move(raw), chaos->next_schedule())
-                       : FaultConn(std::move(raw));
-  conn.send_frame(Frame{MsgType::Hello,
-                        kv_encode({{"proto",
-                                    std::to_string(kProtocolVersion)}})});
-  const Frame ok = expect_stream(conn, opt);
+  Link link{(chaos && chaos->enabled())
+                ? FaultConn(std::move(raw), chaos->next_schedule())
+                : FaultConn(std::move(raw))};
+  link.send(Frame{MsgType::Hello,
+                  kv_encode({{"proto", std::to_string(kProtocolVersion)}})});
+  const Frame ok = expect_stream(link, opt);
   if (ok.type != MsgType::HelloOk)
     throw ProtocolError("hiserve client: expected HelloOk, got " +
                         std::string(msg_type_name(ok.type)));
-  return conn;
+  return link;
 }
 
 }  // namespace
@@ -111,17 +119,17 @@ ConnectedRun run_plan_connected(const PlanRequest& req,
 
   while (!finished) {
     try {
-      FaultConn conn = handshake(opt, &chaos);
+      Link link = handshake(opt, &chaos);
       ever_connected = true;
 
       // Re-attach by token when we have one; a rejected resume falls
       // back to a fresh submit (warm cells return from the memo/cache).
       bool attached = false;
       if (!out.token.empty()) {
-        conn.send_frame(Frame{MsgType::ResumePlan,
-                              kv_encode({{"token", out.token}})});
+        link.send(Frame{MsgType::ResumePlan,
+                        kv_encode({{"token", out.token}})});
         try {
-          const Frame f = expect_stream(conn, opt);
+          const Frame f = expect_stream(link, opt);
           if (f.type != MsgType::ResumeOk)
             throw ProtocolError("hiserve client: expected ResumeOk, got " +
                                 std::string(msg_type_name(f.type)));
@@ -132,8 +140,8 @@ ConnectedRun run_plan_connected(const PlanRequest& req,
         }
       }
       if (!attached) {
-        conn.send_frame(Frame{MsgType::SubmitPlan, kv_encode(req.to_kv())});
-        const Frame accepted = expect_stream(conn, opt);
+        link.send(Frame{MsgType::SubmitPlan, kv_encode(req.to_kv())});
+        const Frame accepted = expect_stream(link, opt);
         if (accepted.type != MsgType::PlanAccepted)
           throw ProtocolError("hiserve client: expected PlanAccepted, got " +
                               std::string(msg_type_name(accepted.type)));
@@ -149,7 +157,7 @@ ConnectedRun run_plan_connected(const PlanRequest& req,
       }
 
       for (;;) {
-        const Frame f = expect_stream(conn, opt);
+        const Frame f = expect_stream(link, opt);
         if (f.type == MsgType::CellDone) {
           const KvMap kv = kv_parse(f.payload);
           const std::size_t idx = kv_get_u64(kv, "cell");
@@ -256,9 +264,9 @@ ConnectedRun run_plan_connected(const PlanRequest& req,
 std::string fetch_service_stats(const std::string& endpoint) {
   ClientOptions opt;
   opt.endpoint = endpoint;
-  FaultConn conn = handshake(opt, nullptr);
-  conn.send_frame(Frame{MsgType::GetStats, ""});
-  const Frame f = expect_stream(conn, opt);
+  Link link = handshake(opt, nullptr);
+  link.send(Frame{MsgType::GetStats, ""});
+  const Frame f = expect_stream(link, opt);
   if (f.type != MsgType::Stats)
     throw ProtocolError("hiserve client: expected Stats, got " +
                         std::string(msg_type_name(f.type)));

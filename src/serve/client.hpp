@@ -15,10 +15,10 @@
 // with PlanAccepted, and on a transport or framing failure the client
 // reconnects with bounded exponential backoff and re-attaches via
 // ResumePlan.  Redelivered cells are deduplicated by a received-set, an
-// unknown token (daemon finished the plan while we were away, or lost
-// its journal) falls back to a fresh submit — warm cells return from
-// the daemon's memo/cache — and Ping/Pong heartbeats distinguish a slow
-// daemon from a dead one.  Only when the daemon was NEVER reachable does
+// unknown token (the plan finished longer than the daemon's client idle
+// timeout ago, or the daemon lost its journal) falls back to a fresh
+// submit — warm cells return from the daemon's memo/cache — and
+// Ping/Pong heartbeats distinguish a slow daemon from a dead one.  Only when the daemon was NEVER reachable does
 // the client give up with ConnectError, which `hilab --connect` maps to
 // its dedicated exit code.
 #pragma once

@@ -89,6 +89,11 @@ struct PlanState {
   // redelivery after a ResumePlan (the daemon cannot know which
   // deliveries the old connection actually carried).
   std::vector<std::string> payloads;
+  // A plan that completes while detached stays resumable: its PlanDone
+  // payload and completion time, until its client resumes it or the
+  // client idle timeout passes.
+  std::string done_payload;
+  std::int64_t finished_ms = 0;
 };
 
 struct ClientState {
@@ -184,6 +189,7 @@ class Service {
   void deliver_cell(std::uint64_t plan_id, std::size_t cell,
                     const lab::CellResult& res, bool cached, bool dedup);
   bool queue_to_client(ClientState& c, const Frame& f);
+  void finish_plan(ClientState& c, std::uint64_t plan_id);
   void reap_idle_clients();
   void drop_dead_clients();
   void schedule();
@@ -466,8 +472,7 @@ void Service::deliver_cell(std::uint64_t plan_id, std::size_t cell,
     done["failed"] = std::to_string(ps.failed);
     done["wall_ms"] = stats::format_double(
         static_cast<double>(now_ms() - ps.start_ms));
-    if (client)
-      queue_to_client(*client, Frame{MsgType::PlanDone, kv_encode(done)});
+    ps.done_payload = kv_encode(done);
     journal_.record_done(ps.token);
     ++n_.plans_completed;
     log("plan %llu (%s) done: %zu cells, %zu simulated, %zu cached, %zu "
@@ -475,10 +480,17 @@ void Service::deliver_cell(std::uint64_t plan_id, std::size_t cell,
         static_cast<unsigned long long>(ps.id), ps.token.c_str(), ps.cells,
         ps.simulated, ps.cached, ps.failed,
         ps.client < 0 ? " (detached)" : "");
-    if (client) client->plans.erase(plan_id);
-    plans_by_token_.erase(ps.token);
-    plans_.erase(pit);
+    if (client) finish_plan(*client, plan_id);
+    else ps.finished_ms = now_ms();
   }
+}
+
+void Service::finish_plan(ClientState& c, std::uint64_t plan_id) {
+  const auto pit = plans_.find(plan_id);
+  queue_to_client(c, Frame{MsgType::PlanDone, pit->second.done_payload});
+  c.plans.erase(plan_id);
+  plans_by_token_.erase(pit->second.token);
+  plans_.erase(pit);
 }
 
 void Service::enqueue_cells(std::uint64_t plan_id,
@@ -586,7 +598,8 @@ void Service::resume_plan(ClientState& c, const KvMap& kv) {
   const std::string token = kv_get(kv, "token", "");
   const auto tit = plans_by_token_.find(token);
   if (tit == plans_by_token_.end()) {
-    // Completed while detached, lost to a journal gap, or simply stale:
+    // Completed while detached longer than the client idle timeout, lost
+    // to a journal gap, or simply stale:
     // the client should fall back to a fresh submit — warm cells come
     // back from the memo/cache, so the fallback is cheap.
     ++n_.resume_unknown_token;
@@ -624,6 +637,7 @@ void Service::resume_plan(ClientState& c, const KvMap& kv) {
     if (!ps.done[i]) continue;
     if (!queue_to_client(c, Frame{MsgType::CellDone, ps.payloads[i]})) return;
   }
+  if (ps.remaining == 0) finish_plan(c, plan_id);
   schedule();
 }
 
@@ -839,6 +853,13 @@ void Service::reap_idle_clients() {
     ++n_.clients_dropped_idle;
     c.dead = true;
   }
+  // A plan that completed detached waits as long as an idle client would.
+  std::erase_if(plans_, [&](const auto& entry) {
+    const PlanState& ps = entry.second;
+    if (ps.finished_ms == 0 || ps.finished_ms > cutoff) return false;
+    plans_by_token_.erase(ps.token);
+    return true;
+  });
 }
 
 void Service::drop_dead_clients() {

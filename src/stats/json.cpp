@@ -46,7 +46,21 @@ JsonWriter& JsonWriter::value(std::string_view s) {
 
 JsonWriter& JsonWriter::raw(std::string_view json) {
   while (!json.empty() && json.back() == '\n') json.remove_suffix(1);
-  return literal(json);
+  if (nonempty_.size() < kBrokenDepth) return literal(json);
+  // The document's members land deeper than kBrokenDepth: one line.  A
+  // JSON string cannot hold a raw newline, so every newline is layout;
+  // drop it with the indent after it, keeping the space that follows a
+  // comma on one line.
+  std::string line;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    if (json[i] != '\n') {
+      line += json[i];
+    } else {
+      while (i + 1 < json.size() && json[i + 1] == ' ') ++i;
+      if (!line.empty() && line.back() == ',') line += ' ';
+    }
+  }
+  return literal(line);
 }
 
 JsonWriter& JsonWriter::open(char bracket) {

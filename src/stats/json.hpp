@@ -40,8 +40,9 @@ class JsonWriter {
     const char* end = std::to_chars(buf, buf + sizeof buf, v).ptr;
     return literal(std::string_view(buf, static_cast<std::size_t>(end - buf)));
   }
-  // An already-serialised JSON document, embedded verbatim as one value
-  // (its trailing newline dropped).
+  // An already-serialised JSON document (this writer's layout), embedded
+  // as one value with its trailing newline dropped: verbatim, or on one
+  // line where its members land deeper than kBrokenDepth.
   JsonWriter& raw(std::string_view json);
 
   template <class T>

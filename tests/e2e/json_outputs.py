@@ -12,6 +12,9 @@ Usage: json_outputs.py HISA HILAB DEADLOCK_KERNEL
   3. `hilab --bench-json - --bench-name NAME` does the same for a name
      holding a quote, a backslash, a tab and 600 more bytes, and keeps the
      name intact.
+  4. `hilab --plan fig8 --scale test --no-cache --lockstep --watchdog 1
+     --json -` fails every cell with a deadlock report, and still puts
+     each of its 28 cells, diagnostic included, on a line of its own.
 """
 import json
 import os
@@ -72,6 +75,24 @@ def check_bench_json(hilab):
     print("bench json: name of", len(name), "bytes intact")
 
 
+def check_failed_cells_one_line_each(hilab):
+    proc = run([hilab, "--plan", "fig8", "--scale", "test", "--no-cache",
+                "--lockstep", "--watchdog", "1", "--quiet", "--json", "-"])
+    assert proc.returncode == 4, (proc.returncode, proc.stderr)
+    doc = json.loads(proc.stdout)
+    lines = proc.stdout.splitlines()
+    first = lines.index('  "cells": [') + 1
+    last = lines.index("  ]", first)
+    cell_lines = lines[first:last]
+    assert len(cell_lines) == len(doc["cells"]) == 28, len(cell_lines)
+    for line, cell in zip(cell_lines, doc["cells"]):
+        parsed = json.loads(line.strip().rstrip(","))
+        assert parsed == cell, line
+        assert cell["ok"] is False, cell
+        assert cell["diagnostic"]["kind"] == "deadlock", cell
+    print("failed fig8 export:", len(cell_lines), "cells on one line each")
+
+
 def main():
     if len(sys.argv) != 4:
         sys.exit(__doc__)
@@ -80,6 +101,7 @@ def main():
         check_deadlock_report(hisa, kernel, workdir)
     check_plan_export(hilab)
     check_bench_json(hilab)
+    check_failed_cells_one_line_each(hilab)
 
 
 if __name__ == "__main__":

@@ -145,12 +145,45 @@ TEST(JsonWriter, RawEmbedsAnAlreadySerialisedDocument) {
   EXPECT_EQ(w.str(),
             "{\n"
             "  \"cells\": [\n"
-            "    {\"ok\": false, \"diagnostic\": {\n"
-            "  \"kind\": \"deadlock\"\n"
-            "}, \"after\": 1},\n"
+            "    {\"ok\": false, \"diagnostic\": {\"kind\": \"deadlock\"}, "
+            "\"after\": 1},\n"
             "    {\"diagnostic\": null}\n"
             "  ],\n"
             "  \"tail\": [1,2]\n"
+            "}\n");
+}
+
+// A document embedded below the broken levels reads exactly as if the
+// writer had produced it in place: one line, ", " between members, and
+// escaped newlines and commas inside strings untouched.
+TEST(JsonWriter, RawDocumentBelowTheBrokenLevelsTakesOneLine) {
+  const auto report = [](JsonWriter& w) {
+    w.begin_object().field("cause", "a,\nb");
+    w.key("queues").begin_array();
+    w.begin_object().field("name", "LDQ").key("ids").begin_array();
+    w.value(1).value(2).end_array().end_object();
+    w.end_array();
+    w.key("empty").begin_array().end_array().end_object();
+  };
+  JsonWriter inner;
+  report(inner);
+  ASSERT_NE(inner.str().find('\n'), inner.str().size() - 1);
+
+  JsonWriter embedded, native;
+  for (JsonWriter* w : {&embedded, &native}) {
+    w->begin_object().key("cells").begin_array().begin_object();
+    w->key("diagnostic");
+    if (w == &embedded) w->raw(inner.str());
+    else report(*w);
+    w->end_object().end_array().end_object();
+  }
+  EXPECT_EQ(embedded.str(), native.str());
+  EXPECT_EQ(embedded.str(),
+            "{\n"
+            "  \"cells\": [\n"
+            "    {\"diagnostic\": {\"cause\": \"a,\\nb\", \"queues\": "
+            "[{\"name\": \"LDQ\", \"ids\": [1, 2]}], \"empty\": []}}\n"
+            "  ]\n"
             "}\n");
 }
 

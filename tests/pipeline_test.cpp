@@ -191,6 +191,24 @@ TEST(PipelineKeys, SimKeyMatchesPreRefactorContentKey) {
   }
 }
 
+TEST(PipelineKeys, KeysMatchRecordedLiterals) {
+  // Every on-disk entry is addressed by these keys: a change to the
+  // hashing must reproduce the values recorded for the test-scale Pointer
+  // workload, or every existing store silently goes cold.
+  const auto pointer = lab::spec("Pointer", workloads::Scale::Test);
+  const compiler::CompileOptions opt;
+  const auto program = pointer.build().program;
+  const auto img = isa::save_program(compiler::compile(program, opt).original);
+  EXPECT_EQ(pipeline::compile_key(pointer, opt),
+            "8e96d57a8014fea4a84d88491ad5db74");
+  EXPECT_EQ(pipeline::compile_key(isa::save_program(program), opt),
+            "8a306e8f5fd5ff24cf452cba3f0f4a54");
+  EXPECT_EQ(pipeline::trace_key(img, opt.max_steps),
+            "d8b9edb635d3ea4173817011a3c65231");
+  EXPECT_EQ(pipeline::sim_key(img, machine::Preset::Superscalar, {}),
+            "41e54973f5d4cd7a6e38394d06537a6a");
+}
+
 // ---- graph shape -----------------------------------------------------------
 
 TEST(PipelineGraph, NodesAreSharedAcrossCells) {

@@ -6,14 +6,20 @@
 // derivation so failures replay from a campaign seed.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fuzz/campaign.hpp"
 #include "lab/serialize.hpp"
 #include "serve/chaos.hpp"
+#include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/transport.hpp"
 #include "serve/worker.hpp"
@@ -600,6 +606,84 @@ TEST(ServeChaosFuzz, CorruptionCampaignNeverPassesSilently) {
     // Everything ahead of the corrupted frame round-tripped intact.
     EXPECT_GE(idx + 1, corrupt_at) << "run " << run << " seed " << seed;
   }
+}
+
+// --- client heartbeat --------------------------------------------------------
+
+// A test thread plays the daemon: it streams a CellDone every
+// heartbeat_ms/5 for eight heartbeats and notes when the client's Pings
+// arrive.  The daemon reaps clients on inbound silence, so the client
+// owes a Ping every heartbeat_ms however busy the inbound stream is.
+TEST(ServeClient, StreamingClientKeepsHeartbeating) {
+  using Clock = std::chrono::steady_clock;
+  constexpr int kBeatMs = 200;
+  constexpr std::size_t kCells = 40;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("hidisc_serve_heartbeat_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  Listener listener = Listener::listen(path);
+
+  std::vector<Clock::time_point> marks;  // stream start, Pings, stream end
+  std::string daemon_error, client_error;
+  std::thread daemon([&] {
+    try {
+      Conn c = listener.accept();
+      const auto expect = [&c](MsgType t) {
+        const auto f = c.recv_frame();
+        if (!f || f->type != t)
+          throw std::runtime_error(std::string("expected ") +
+                                   msg_type_name(t));
+      };
+      expect(MsgType::Hello);
+      c.send_frame(frame(MsgType::HelloOk, ""));
+      expect(MsgType::SubmitPlan);
+      c.send_frame(frame(MsgType::PlanAccepted,
+                         kv_encode({{"cells", std::to_string(kCells)},
+                                    {"token", "t"}})));
+      marks.push_back(Clock::now());
+      for (std::size_t i = 0; i < kCells; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(kBeatMs / 5));
+        KvMap kv = cell_result_to_kv(lab::CellResult{});
+        kv["cell"] = std::to_string(i);
+        c.send_frame(frame(MsgType::CellDone, kv_encode(kv)));
+        bool timed_out = false;
+        while (const auto f = c.recv_frame_for(5, &timed_out))
+          if (f->type == MsgType::Ping) marks.push_back(Clock::now());
+      }
+      marks.push_back(Clock::now());
+      c.send_frame(frame(MsgType::PlanDone, kv_encode({{"failed", "0"}})));
+      while (c.recv_frame()) {
+      }
+    } catch (const std::exception& e) {
+      daemon_error = e.what();
+    }
+  });
+
+  lab::ExperimentPlan plan;
+  plan.cells.resize(kCells);
+  PlanRequest req;
+  req.plan = "fig8";
+  ClientOptions opt;
+  opt.endpoint = path;
+  opt.heartbeat_ms = kBeatMs;
+  opt.max_reconnects = 0;
+  try {
+    const auto run = run_plan_connected(req, plan, opt);
+    EXPECT_EQ(run.run.cells.size(), kCells);
+  } catch (const std::exception& e) {
+    client_error = e.what();
+  }
+  daemon.join();
+  ASSERT_EQ(daemon_error, "");
+  ASSERT_EQ(client_error, "");
+  ASSERT_GE(marks.size(), 2u);
+  for (std::size_t i = 1; i < marks.size(); ++i)
+    EXPECT_LE(std::chrono::duration_cast<std::chrono::milliseconds>(
+                  marks[i] - marks[i - 1])
+                  .count(),
+              2 * kBeatMs)
+        << "gap before mark " << i << " of " << marks.size();
 }
 
 }  // namespace

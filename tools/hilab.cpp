@@ -3,7 +3,8 @@
 // Runs a named experiment plan (each reproducing one paper figure/table,
 // or arbitrary sweeps) across a thread pool, memoizing workload
 // compilation and functional tracing, consulting the persistent result
-// cache, and exporting machine-readable JSON/CSV.
+// cache, and exporting machine-readable JSON/CSV.  The human report ends
+// with the tables of the figures the plan reproduces (lab/figures.hpp).
 //
 //   hilab --list
 //   hilab --plan fig8 [--threads N] [--scale paper|test]
@@ -41,6 +42,7 @@
 #include <vector>
 
 #include "lab/export.hpp"
+#include "lab/figures.hpp"
 #include "lab/plan.hpp"
 #include "lab/runner.hpp"
 #include "lab/thread_pool.hpp"
@@ -417,6 +419,8 @@ int main(int argc, char** argv) {
           "sim %.0f ms (+%.0f ms cached)\n",
           n.compile.ms_rebuilt, n.compile.ms_hits, n.trace.ms_rebuilt,
           n.trace.ms_hits, n.sim.ms_rebuilt, n.sim.ms_hits);
+      const std::string figures = lab::render_figures(plan, run);
+      if (!figures.empty()) std::printf("\n%s", figures.c_str());
     }
 
     const lab::ExportMeta meta{threads};
