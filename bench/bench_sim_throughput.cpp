@@ -163,6 +163,35 @@ BENCHMARK(BM_FullMachine)
     ->Arg(static_cast<int>(machine::SchedulerKind::EventSkip))
     ->Arg(static_cast<int>(machine::SchedulerKind::Lockstep));
 
+// The plan's dominant cells: the pointer-chasing Pointer stressmark at
+// paper scale under the two CMP machines at the Fig. 10 high-latency
+// point (L2 16 / DRAM 160).  These issue-stage-bound cells, not
+// BM_FullMachine's memory-bound test-scale Matrix, are where `hilab --plan
+// paper` spends its simulation time.  Arg selects the preset (HiDISC or
+// CP+CMP); each preset runs the binary it consumes.
+void BM_PointerMachine(benchmark::State& state) {
+  const auto preset = static_cast<machine::Preset>(state.range(0));
+  const auto w = workloads::make_pointer(workloads::Scale::Paper);
+  const auto comp = compiler::compile(w.program);
+  const auto& prog = machine::uses_separated_binary(preset) ? comp.separated
+                                                            : comp.original;
+  sim::Functional f(prog);
+  const auto trace = f.run_trace();
+  machine::MachineConfig cfg;
+  cfg.mem = mem::MemConfig::with_latencies(16, 160);
+  std::uint64_t cycles = 0;
+  for (auto _ : state) {
+    const auto r = machine::run_machine(prog, trace, preset, cfg);
+    cycles += r.cycles;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
+  state.SetLabel(std::string("items = simulated cycles, ") +
+                 machine::preset_name(preset));
+}
+BENCHMARK(BM_PointerMachine)
+    ->Arg(static_cast<int>(machine::Preset::HiDISC))
+    ->Arg(static_cast<int>(machine::Preset::CPCMP));
+
 void BM_CompilerPipeline(benchmark::State& state) {
   const auto w = workloads::make_raytrace(workloads::Scale::Test);
   for (auto _ : state) {

@@ -64,20 +64,21 @@ PlanRun run_plan(const ExperimentPlan& plan, const RunOptions& opt) {
     run.cache_hits += cell.from_cache ? 1 : 0;
     run.simulated += cell.from_cache ? 0 : 1;
   }
-  {
-    double sim_ms = 0.0;
-    std::uint64_t sim_cycles = 0;
-    for (const auto& cell : run.cells) {
-      if (cell.from_cache || !cell.ok()) continue;
-      sim_ms += cell.wall_ms;
-      sim_cycles += cell.result.cycles;
-    }
-    if (sim_ms > 0.0)
-      run.sim_cycles_per_sec =
-          static_cast<double>(sim_cycles) * 1000.0 / sim_ms;
-  }
+  run.sim_cycles_per_sec = sim_cycles_per_sec(run.cells);
   run.wall_ms = ms_since(start);
   return run;
+}
+
+double sim_cycles_per_sec(const std::vector<CellResult>& cells) {
+  double sim_ms = 0.0;
+  std::uint64_t sim_cycles = 0;
+  for (const auto& cell : cells) {
+    if (cell.from_cache || !cell.ok() || cell.wall_ms <= 0.0) continue;
+    sim_ms += cell.wall_ms;
+    sim_cycles += cell.result.cycles;
+  }
+  return sim_ms > 0.0 ? static_cast<double>(sim_cycles) * 1000.0 / sim_ms
+                      : 0.0;
 }
 
 }  // namespace hidisc::lab

@@ -87,13 +87,18 @@ struct PlanRun {
   // preset-only change shows nodes.trace.rebuilt == 0).
   pipeline::NodeStats nodes;
   double wall_ms = 0.0;   // whole-plan wall clock
-  // Aggregate simulator throughput: total simulated cycles divided by the
-  // summed per-cell simulation time, over the cells that actually ran the
-  // timing machine this run (0 when everything came from cache).
+  // Aggregate simulator throughput: see sim_cycles_per_sec(cells) below.
   double sim_cycles_per_sec = 0.0;
 
   [[nodiscard]] bool ok() const noexcept { return failed == 0; }
 };
+
+// Aggregate simulator throughput of a plan run: total simulated cycles
+// divided by the summed per-cell simulation time, over the cells that ran
+// the timing machine and have a measured time (not from cache, not
+// failed, wall_ms > 0).  0 when no cell qualifies.  Local runs and
+// connected clients both fill PlanRun::sim_cycles_per_sec from this.
+[[nodiscard]] double sim_cycles_per_sec(const std::vector<CellResult>& cells);
 
 // Runs every cell of `plan`.  A cell whose prep, trace or simulation
 // fails carries the failure in its error slots (error / error_class /

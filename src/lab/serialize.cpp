@@ -57,12 +57,4 @@ bool results_identical(const machine::Result& a, const machine::Result& b) {
   return result_to_fields(a) == result_to_fields(b);
 }
 
-std::uint64_t fnv1a64(std::string_view data, std::uint64_t state) noexcept {
-  for (const char c : data) {
-    state ^= static_cast<unsigned char>(c);
-    state *= 1099511628211ull;
-  }
-  return state;
-}
-
 }  // namespace hidisc::lab

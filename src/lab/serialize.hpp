@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "machine/result.hpp"
+#include "util/fnv1a.hpp"
 
 namespace hidisc::lab {
 
@@ -121,13 +122,9 @@ void visit_result_fields(R& r, V&& v) {
 [[nodiscard]] bool results_identical(const machine::Result& a,
                                      const machine::Result& b);
 
-// FNV-1a 64-bit hash; the result cache's and trace store's checksum
-// footer, and both streams of every content key (fingerprint.hpp's
-// key128).  Passing the previous call's return value as `state` continues
-// the hash, so a chain of calls over consecutive spans equals one call over
-// their concatenation.
-inline constexpr std::uint64_t kFnv1a64Basis = 14695981039346656037ull;
-[[nodiscard]] std::uint64_t fnv1a64(
-    std::string_view data, std::uint64_t state = kFnv1a64Basis) noexcept;
+// The one FNV-1a (util/fnv1a.hpp), re-exported where the lab's checksums
+// and content keys have always named it.
+using util::fnv1a64;
+using util::kFnv1a64Basis;
 
 }  // namespace hidisc::lab

@@ -75,6 +75,8 @@ Machine::Machine(const isa::Program& prog, const sim::Trace& trace,
       cmp_ = std::make_unique<OoOCore>(cfg_.cmp, &memsys_, queues, &optable_);
       break;
   }
+  for (auto* core : {main_.get(), cp_.get(), ap_.get(), cmp_.get()})
+    if (core != nullptr) roster_[roster_size_++] = core;
   if (cmp_) {
     contexts_.resize(static_cast<std::size_t>(cfg_.cmp_contexts));
     const auto ngroups = static_cast<std::size_t>(num_cmas_groups(prog_));
@@ -139,8 +141,8 @@ OoOCore& Machine::route(const isa::Instruction& inst) {
 
 bool Machine::done() const {
   if (fetch_pos_ < trace_.size()) return false;
-  for (const auto* core : {main_.get(), cp_.get(), ap_.get(), cmp_.get()})
-    if (core != nullptr && !core->drained()) return false;
+  for (const auto* core : cores())
+    if (!core->drained()) return false;
   for (const auto& ctx : contexts_)
     if (ctx.active) return false;
   return true;
@@ -359,9 +361,8 @@ Result Machine::run() {
 // Branch resolution unblocks the front end.
 bool Machine::resolve_branches() {
   bool progress = false;
-  for (auto* core : {main_.get(), cp_.get(), ap_.get()}) {
-    if (core == nullptr || !core->has_resolved()) continue;
-    for (const auto& rb : core->take_resolved_branches()) {
+  for (auto* core : cores()) {
+    for (const auto& rb : core->resolved()) {
       if (rb.trace_pos == pending_branch_pos_) {
         pending_branch_pos_ = -1;
         fetch_resume_cycle_ =
@@ -370,6 +371,7 @@ bool Machine::resolve_branches() {
         progress = true;
       }
     }
+    core->clear_resolved();
   }
   return progress;
 }
@@ -397,8 +399,7 @@ bool Machine::fetch_step(std::uint64_t now) {
 // repeat forever absent a timed event.
 bool Machine::step(std::uint64_t now) {
   bool progress = false;
-  for (auto* core : {main_.get(), cp_.get(), ap_.get(), cmp_.get()}) {
-    if (core == nullptr) continue;
+  for (auto* core : cores()) {
     if (core->drained()) {
       // Quiescent core: empty window, empty input queue.  A tick would be
       // a guaranteed no-op, so don't pay for it.
@@ -421,8 +422,8 @@ bool Machine::step(std::uint64_t now) {
 // is wedged for good.
 std::uint64_t Machine::next_event_after(std::uint64_t now) {
   std::uint64_t ev = uarch::kNoEvent;
-  for (const auto* core : {main_.get(), cp_.get(), ap_.get(), cmp_.get()})
-    if (core != nullptr) ev = std::min(ev, core->next_event_cycle(now));
+  for (const auto* core : cores())
+    ev = std::min(ev, core->next_event_cycle(now));
   for (const auto* q : {&ldq_, &sdq_, &scq_})
     ev = std::min(ev, q->next_ready_event(now));
   if (fetch_blocked_ && pending_branch_pos_ < 0 && fetch_resume_cycle_ > now)
@@ -438,8 +439,7 @@ std::uint64_t Machine::next_event_after(std::uint64_t now) {
 // construction nothing else could change — and each one's gating
 // condition is frozen across the whole skipped stretch.
 void Machine::account_skip(std::uint64_t now, std::uint64_t delta) {
-  for (auto* core : {main_.get(), cp_.get(), ap_.get(), cmp_.get()})
-    if (core != nullptr) core->account_idle_cycles(now, delta);
+  for (auto* core : cores()) core->account_idle_cycles(now, delta);
   if (fetch_blocked_) {
     // Blocked on a pending branch or a timed resume point; the skip never
     // crosses the resume cycle.
@@ -553,8 +553,7 @@ Result Machine::run_scheduler() {
     const bool progress = step(now);
     ++sched_.event_steps;
     if (check_invariants_each_step_)
-      for (const auto* core : {main_.get(), cp_.get(), ap_.get(), cmp_.get()})
-        if (core != nullptr) core->debug_check_invariants(now);
+      for (const auto* core : cores()) core->debug_check_invariants(now);
     recorder_.record(make_record(
         now, progress ? diag::StepKind::Progress : diag::StepKind::Stall, 0));
     if (fetch_blocked_ != was_blocked)
@@ -600,8 +599,7 @@ Result Machine::run_scheduler() {
 
     now = next;
   }
-  for (const auto* core : {main_.get(), cp_.get(), ap_.get(), cmp_.get()}) {
-    if (core == nullptr) continue;
+  for (const auto* core : cores()) {
     sched_.issue_visits += core->work().issue_visits;
     sched_.wakeups += core->work().wakeups;
   }

@@ -21,8 +21,10 @@
 // HIDISC_LOCKSTEP=1 runs both and asserts bit-identical Results.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "diag/deadlock.hpp"
@@ -138,6 +140,13 @@ class Machine {
   std::unique_ptr<uarch::OoOCore> cp_;
   std::unique_ptr<uarch::OoOCore> ap_;
   std::unique_ptr<uarch::OoOCore> cmp_;
+  // The non-null cores above, in tick order (main, cp, ap, cmp), built
+  // once so the per-step loops skip no null slots.
+  std::array<uarch::OoOCore*, 4> roster_{};
+  std::size_t roster_size_ = 0;
+  [[nodiscard]] std::span<uarch::OoOCore* const> cores() const noexcept {
+    return {roster_.data(), roster_size_};
+  }
 
   // Front-end state.
   std::size_t fetch_pos_ = 0;

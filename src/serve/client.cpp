@@ -225,18 +225,7 @@ ConnectedRun run_plan_connected(const PlanRequest& req,
   out.run.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - start)
           .count();
-  // Aggregate simulator throughput over the cells this plan simulated,
-  // same definition as lab::run_plan.
-  double sim_ms = 0.0;
-  std::uint64_t sim_cycles = 0;
-  for (const auto& c : out.run.cells) {
-    if (c.from_cache || !c.ok() || c.wall_ms <= 0.0) continue;
-    sim_ms += c.wall_ms;
-    sim_cycles += c.result.cycles;
-  }
-  if (sim_ms > 0.0)
-    out.run.sim_cycles_per_sec =
-        static_cast<double>(sim_cycles) * 1000.0 / sim_ms;
+  out.run.sim_cycles_per_sec = lab::sim_cycles_per_sec(out.run.cells);
   // Reconstruct pipeline node stats: compile/trace work travels on the
   // wire per cell (zeroed by the daemon for dedup/memo deliveries, so
   // summing never double counts); the sim row is derivable locally from

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <utility>
 
 namespace hidisc::serve {
@@ -160,17 +161,23 @@ std::optional<Frame> Conn::recv_frame_for(int timeout_ms, bool* timed_out) {
   if (timed_out) *timed_out = false;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  bool polled = false;
   for (;;) {
     if (auto f = dec_.next()) return f;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+    // Rounded up, so a sub-millisecond remainder still waits; and the
+    // socket is polled at least once, so bytes already waiting are read
+    // however short the timeout.
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
                           deadline - std::chrono::steady_clock::now())
                           .count();
-    if (left <= 0) {
+    if (left <= 0 && polled) {
       if (timed_out) *timed_out = true;
       return std::nullopt;
     }
+    polled = true;
     pollfd p{fd_, POLLIN, 0};
-    const int pr = ::poll(&p, 1, static_cast<int>(left));
+    const int pr =
+        ::poll(&p, 1, static_cast<int>(std::max<std::int64_t>(left, 0)));
     if (pr < 0) {
       if (errno == EINTR) continue;
       throw_errno("poll");

@@ -15,8 +15,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "sim/decoded.hpp"
+#include "util/fnv1a.hpp"
 
 namespace hidisc::sim {
 
@@ -461,12 +463,12 @@ bool Functional::step(TraceEntry* out) {
 }
 
 std::uint64_t Functional::state_digest() const {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = util::kFnv1a64Basis;
   const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
+    char bytes[8];
+    for (int i = 0; i < 8; ++i)
+      bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    h = util::fnv1a64(std::string_view(bytes, sizeof bytes), h);
   };
   for (const auto v : iregs_) mix(static_cast<std::uint64_t>(v));
   for (const auto v : fregs_) mix(std::bit_cast<std::uint64_t>(v));

@@ -14,8 +14,11 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "util/fnv1a.hpp"
 
 namespace hidisc::sim {
 
@@ -130,11 +133,8 @@ class Memory {
   [[nodiscard]] std::uint64_t digest() const {
     std::uint64_t acc = 0;
     for (const auto& [base, page] : pages_) {
-      std::uint64_t h = 1469598103934665603ull;
-      for (std::uint8_t b : *page) {
-        h ^= b;
-        h *= 1099511628211ull;
-      }
+      const std::uint64_t h = util::fnv1a64(std::string_view(
+          reinterpret_cast<const char*>(page->data()), page->size()));
       acc ^= h ^ (base * 0x9e3779b97f4a7c15ull);
     }
     return acc;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -12,28 +11,6 @@ using isa::OpClass;
 using isa::Opcode;
 
 namespace {
-
-// Lazily drops heap tops that have already been reached.  Entries for
-// committed ops are covered too: commit requires completion, so their
-// times are <= the commit cycle and fall out here.
-void prune_heap(std::vector<std::uint64_t>& heap, std::uint64_t now) {
-  while (!heap.empty() && heap.front() <= now) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-    heap.pop_back();
-  }
-}
-
-void push_heap_value(std::vector<std::uint64_t>& heap, std::uint64_t v) {
-  heap.push_back(v);
-  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-}
-
-std::uint64_t pop_heap_value(std::vector<std::uint64_t>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-  const auto v = heap.back();
-  heap.pop_back();
-  return v;
-}
 
 constexpr std::uint64_t store_line(std::uint64_t addr) noexcept {
   return addr & ~7ull;
@@ -58,7 +35,8 @@ OoOCore::OoOCore(const CoreConfig& cfg, mem::MemorySystem* memsys,
       int_muldiv_(cfg.int_muldiv),
       fp_alu_(cfg.fp_alu),
       fp_muldiv_(cfg.fp_muldiv),
-      mem_ports_(cfg.mem_ports) {
+      mem_ports_(cfg.mem_ports),
+      prefetch_slots_(cfg.prefetch_only ? cfg.prefetch_buffer : 0) {
   if (cfg.window <= 0 || cfg.issue_width <= 0 || cfg.commit_width <= 0)
     throw std::invalid_argument(cfg.name + ": non-positive core geometry");
   if (cfg.window > 64)  // one bit per ring slot in the ready/unissued sets
@@ -81,20 +59,15 @@ void OoOCore::reset() {
   fp_alu_.reset();
   fp_muldiv_.reset();
   mem_ports_.reset();
+  prefetch_slots_.reset();
   completion_events_.clear();
   unissued_ = ready_ = 0;
   for (auto& pend : pending_push_) pend.clear();
-  stores_by_line_.clear();
-  prefetch_fills_.clear();
+  stores_.clear();
+  store_filter_.fill(0);
   stats_ = CoreStats{};
   work_ = IssueWork{};
   resolved_.clear();
-}
-
-std::vector<ResolvedBranch> OoOCore::take_resolved_branches() {
-  auto out = std::move(resolved_);
-  resolved_.clear();
-  return out;
 }
 
 FuPool* OoOCore::pool_ptr(PoolKind kind) {
@@ -138,20 +111,14 @@ bool OoOCore::tick(std::uint64_t now) {
   return progress_;
 }
 
-void OoOCore::prune_prefetch_fills(std::uint64_t now) const {
-  prune_heap(prefetch_fills_, now);
-}
-
 // Wakeup: every entry whose result is available by `now` decrements its
 // consumers' outstanding-source counts; a consumer reaching zero joins the
 // ready set.  Completions are never committed before this runs (commit
-// needs completion, and every tick drains first), so each key names a
+// needs completion, and every tick drains first), so each event names a
 // live window slot.
 void OoOCore::wake_completed(std::uint64_t now) {
-  while (!completion_events_.empty() &&
-         completion_events_.front() >> kSlotBits <= now) {
-    Entry& done =
-        slots_[pop_heap_value(completion_events_) & ((1u << kSlotBits) - 1)];
+  completion_events_.drain(now, [this](unsigned slot) {
+    Entry& done = slots_[slot];
     for (auto link = done.consumers; link != kNoLink;) {
       Entry& c = slots_[link >> 1];
       ++work_.wakeups;
@@ -159,26 +126,22 @@ void OoOCore::wake_completed(std::uint64_t now) {
       link = c.next_consumer[link & 1];
     }
     done.consumers = kNoLink;
-  }
+  });
 }
 
 std::uint64_t OoOCore::next_event_cycle(std::uint64_t now) const {
   // Issued-but-incomplete entries cover every time-threshold their
   // completion gates: commit of the head, queue writes draining, consumer
-  // wakeups, and load/store disambiguation waits.  The completion heap's
-  // top is exactly the earliest of them once tick(now) drained everything
-  // <= now; before that tick, an undrained top means "next cycle".
-  std::uint64_t ev =
-      completion_events_.empty()
-          ? kNoEvent
-          : std::max(now + 1, completion_events_.front() >> kSlotBits);
-  for (const FuPool* pool :
-       {&int_alu_, &int_muldiv_, &fp_alu_, &fp_muldiv_, &mem_ports_})
+  // wakeups, and load/store disambiguation waits.  The wheel's earliest
+  // event is exactly the earliest of them once tick(now) drained everything
+  // <= now; before that tick, an undrained event means "next cycle".
+  std::uint64_t ev = completion_events_.earliest();
+  if (ev != kNoEvent) ev = std::max(now + 1, ev);
+  // Unit releases; a full prefetch buffer frees a slot when its earliest
+  // fill lands.
+  for (const FuPool* pool : {&int_alu_, &int_muldiv_, &fp_alu_, &fp_muldiv_,
+                             &mem_ports_, &prefetch_slots_})
     ev = std::min(ev, pool->next_release(now));
-  // A full prefetch buffer frees a slot when its earliest fill lands.
-  prune_prefetch_fills(now);
-  if (!prefetch_fills_.empty() && prefetch_fills_.front() < ev)
-    ev = prefetch_fills_.front();
   return ev;
 }
 
@@ -287,13 +250,10 @@ OoOCore::StallProbe OoOCore::probe_oldest_stall(std::uint64_t now) const {
       return p;
     }
   }
-  if (head.so.is_load && cfg_.prefetch_only && !head.so.value_live) {
-    prune_prefetch_fills(now);
-    if (prefetch_fills_.size() >=
-        static_cast<std::size_t>(cfg_.prefetch_buffer)) {
-      p.why = diag::StallWhy::FuBusy;
-      return p;
-    }
+  if (head.so.is_load && cfg_.prefetch_only && !head.so.value_live &&
+      !prefetch_slots_.available(now)) {
+    p.why = diag::StallWhy::FuBusy;
+    return p;
   }
   // Sources and queues cleared: a functional unit / memory port is the
   // remaining gate.
@@ -339,11 +299,9 @@ void OoOCore::do_commit(std::uint64_t now) {
     }
     if (head.so.is_load || head.so.is_store) --mem_ops_in_window_;
     if (head.so.is_store) {
-      // The committing store is this line's oldest in-window store, i.e.
-      // the front of its disambiguation bucket.
-      const auto it = stores_by_line_.find(store_line(head.op.addr));
-      it->second.erase(it->second.begin());
-      if (it->second.empty()) stores_by_line_.erase(it);
+      // The committing store is the oldest in-window store: the ring front.
+      --store_filter_[filter_index(stores_.front().line)];
+      stores_.pop_front();
     }
     if (head.op.count_commit) ++stats_.committed;
     ++stats_.committed_all;
@@ -359,21 +317,28 @@ OoOCore::Disambiguation OoOCore::check_older_stores(std::uint64_t line,
                                                     std::uint64_t seq,
                                                     std::uint64_t now) const {
   Disambiguation d;
-  const auto it = stores_by_line_.find(line);
-  if (it == stores_by_line_.end()) return d;
-  // Bucket seqs ascend, so this walk visits overlapping stores oldest
-  // first — identical order (and first-incomplete early-out) to the
-  // historical full-window scan, minus every non-overlapping entry.
-  for (const auto s : it->second) {
-    if (s >= seq) break;
-    const Entry* older = find_by_seq(s);
-    if (!completed(*older, now)) {
+  if (store_filter_[filter_index(line)] == 0) return d;
+  // The ring is in program order, so this walk visits overlapping stores
+  // oldest first — identical order (and first-incomplete early-out) to
+  // the historical full-window scan, minus every non-store entry.
+  for (std::size_t i = 0; i < stores_.size(); ++i) {
+    const StoreRef& s = stores_[i];
+    if (s.seq >= seq) break;
+    if (s.line != line) continue;
+    if (!completed(*find_by_seq(s.seq), now)) {
       d.wait = true;
       break;
     }
     d.forward = true;  // most recent older overlapping store wins
   }
   return d;
+}
+
+bool OoOCore::store_in_window(std::uint64_t line) const noexcept {
+  if (store_filter_[filter_index(line)] == 0) return false;
+  for (std::size_t i = 0; i < stores_.size(); ++i)
+    if (stores_[i].line == line) return true;
+  return false;
 }
 
 // Select: visits the ready set (entries whose sources are all complete)
@@ -438,12 +403,9 @@ void OoOCore::do_issue(std::uint64_t now) {
     }
 
     // Fire-and-forget prefetch loads draw from a finite prefetch buffer.
-    if (e.so.is_load && cfg_.prefetch_only && !e.so.value_live) {
-      prune_prefetch_fills(now);
-      if (prefetch_fills_.size() >=
-          static_cast<std::size_t>(cfg_.prefetch_buffer))
-        continue;
-    }
+    if (e.so.is_load && cfg_.prefetch_only && !e.so.value_live &&
+        !prefetch_slots_.available(now))
+      continue;
 
     // Functional unit / memory port availability.
     FuPool* pool = pool_ptr(e.so.pool);
@@ -488,9 +450,7 @@ void OoOCore::issue_one(Entry& e, std::uint64_t now) {
         // fill completes in the background.  Pointer-chase slices, whose
         // loads feed later slice instructions, keep the full latency.
         e.complete_cycle = now + 1;
-        push_heap_value(prefetch_fills_,
-                        now + static_cast<std::uint64_t>(
-                                  std::max(1, res.latency)));
+        prefetch_slots_.acquire(now, std::max(1, res.latency));
       } else {
         e.complete_cycle = now + static_cast<std::uint64_t>(
                                      std::max(1, res.latency));
@@ -513,7 +473,7 @@ void OoOCore::issue_one(Entry& e, std::uint64_t now) {
   const auto slot = slot_of(e);
   ready_ &= ~(1ull << slot);
   unissued_ &= ~(1ull << slot);
-  push_heap_value(completion_events_, e.complete_cycle << kSlotBits | slot);
+  completion_events_.schedule(e.complete_cycle, static_cast<unsigned>(slot));
   progress_ = true;
 
   if (e.op.mispredicted)
@@ -560,9 +520,8 @@ void OoOCore::do_dispatch(std::uint64_t now) {
     e.pushed = false;
     e.issued = false;
     e.forwarded = false;
-    e.no_conflict = so.is_load && cfg_.has_lsu &&
-                    (stores_by_line_.empty() ||
-                     !stores_by_line_.contains(store_line(op.addr)));
+    e.no_conflict =
+        so.is_load && cfg_.has_lsu && !store_in_window(store_line(op.addr));
 
     // Register dependences: link into the list of every distinct producer
     // still in flight, and count them.
@@ -607,8 +566,11 @@ void OoOCore::do_dispatch(std::uint64_t now) {
     if (so.dst >= 0) last_writer_[so.dst] = e.seq;
 
     if (so.is_load || so.is_store) ++mem_ops_in_window_;
-    if (so.is_store)
-      stores_by_line_[store_line(op.addr)].push_back(e.seq);
+    if (so.is_store) {
+      const auto line = store_line(op.addr);
+      stores_.push_back({line, e.seq});
+      ++store_filter_[filter_index(line)];
+    }
     if (e.push_queue != nullptr)
       pending_push_[queue_slot(e.push_queue)].push_back(e.seq);
     unissued_ |= 1ull << slot;
@@ -628,17 +590,22 @@ void OoOCore::debug_check_invariants(std::uint64_t now) const {
     throw std::logic_error(cfg_.name + ": invariant violated: " + what);
   };
 
-  // Completion heap: exactly the issued entries completing after `now`
-  // (everything up to `now` was drained and woke its consumers).
-  std::vector<std::uint64_t> want_events, got_events = completion_events_;
-  if (!std::is_heap(got_events.begin(), got_events.end(), std::greater<>{}))
-    fail("completion events not a min-heap");
+  // Completion wheel: exactly the issued entries completing after `now`
+  // (everything up to `now` was drained and woke its consumers), each in
+  // its cycle's bucket or, past the span, in the overflow heap.
+  try {
+    completion_events_.debug_check();
+  } catch (const std::logic_error& e) {
+    fail(e.what());
+  }
+  std::vector<std::uint64_t> want_events,
+      got_events = completion_events_.events();
   std::uint64_t want_unissued = 0, want_ready = 0;
   for (std::size_t i = 0; i < window_count_; ++i) {
     const Entry& e = window_at(i);
     const auto slot = slot_of(e);
     if (e.issued && e.complete_cycle > now)
-      want_events.push_back(e.complete_cycle << kSlotBits | slot);
+      want_events.push_back(e.complete_cycle << 6 | slot);
     if (e.issued) continue;
     // Source count: distinct in-window producers not complete by `now`,
     // each holding a link to this entry's first source naming it.
@@ -662,6 +629,9 @@ void OoOCore::debug_check_invariants(std::uint64_t now) const {
   std::sort(want_events.begin(), want_events.end());
   std::sort(got_events.begin(), got_events.end());
   if (want_events != got_events) fail("completion events mismatch");
+  if (completion_events_.earliest() !=
+      (want_events.empty() ? kNoEvent : want_events.front() >> 6))
+    fail("earliest completion mismatch");
   if (want_unissued != unissued_) fail("unissued set mismatch");
   if (want_ready != ready_) fail("ready set mismatch");
   // Every counted source has its link, so equal totals leave no stray or
@@ -675,32 +645,45 @@ void OoOCore::debug_check_invariants(std::uint64_t now) const {
       ++links;
   if (links != want_links) fail("stray consumer link");
 
-  // Per-queue pending-push cursors.
-  std::deque<std::uint64_t> want_pend[3];
+  // Per-queue pending-push cursors: the unperformed writes, in order.
+  std::vector<std::uint64_t> want_pend[3];
   for (std::size_t i = 0; i < window_count_; ++i) {
     const Entry& e = window_at(i);
     if (e.push_queue != nullptr && !e.pushed)
       want_pend[queue_slot(e.push_queue)].push_back(e.seq);
   }
-  for (int s = 0; s < 3; ++s)
-    if (want_pend[s] != pending_push_[s]) fail("pending-push cursor mismatch");
+  for (int s = 0; s < 3; ++s) {
+    bool same = want_pend[s].size() == pending_push_[s].size();
+    for (std::size_t i = 0; same && i < want_pend[s].size(); ++i)
+      same = want_pend[s][i] == pending_push_[s][i];
+    if (!same) fail("pending-push cursor mismatch");
+  }
 
-  // Store disambiguation map: per line, the in-window stores, ascending.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> want_stores;
+  // Store ring: the in-window stores in program order, with their lines;
+  // the filter counts them per hashed line.
+  std::vector<StoreRef> want_stores;
+  std::array<std::uint8_t, kStoreFilter> want_filter{};
   for (std::size_t i = 0; i < window_count_; ++i) {
     const Entry& e = window_at(i);
-    if (e.so.is_store) want_stores[store_line(e.op.addr)].push_back(e.seq);
+    if (!e.so.is_store) continue;
+    want_stores.push_back({store_line(e.op.addr), e.seq});
+    ++want_filter[filter_index(store_line(e.op.addr))];
   }
-  if (want_stores != stores_by_line_) fail("store map mismatch");
+  bool same = want_stores.size() == stores_.size();
+  for (std::size_t i = 0; same && i < want_stores.size(); ++i)
+    same = want_stores[i].line == stores_[i].line &&
+           want_stores[i].seq == stores_[i].seq;
+  if (!same) fail("store ring mismatch");
+  if (want_filter != store_filter_) fail("store filter count mismatch");
 
   // no_conflict is a lifetime promise: such a load must never have an
   // older in-window store on its line (so it can never wait or forward).
   for (std::size_t i = 0; i < window_count_; ++i) {
     const Entry& e = window_at(i);
     if (!e.no_conflict || !e.so.is_load) continue;
-    const auto it = want_stores.find(store_line(e.op.addr));
-    if (it != want_stores.end() && it->second.front() < e.seq)
-      fail("no_conflict load has an older same-line store");
+    for (const StoreRef& st : want_stores)
+      if (st.line == store_line(e.op.addr) && st.seq < e.seq)
+        fail("no_conflict load has an older same-line store");
   }
 
   // Memory-op census.
@@ -708,11 +691,6 @@ void OoOCore::debug_check_invariants(std::uint64_t now) const {
   for (std::size_t i = 0; i < window_count_; ++i)
     if (window_at(i).so.is_load || window_at(i).so.is_store) ++want_mem;
   if (want_mem != mem_ops_in_window_) fail("mem-op census mismatch");
-
-  // Prefetch-fill heap shape (occupancy is bounded by construction).
-  if (!std::is_heap(prefetch_fills_.begin(), prefetch_fills_.end(),
-                    std::greater<>{}))
-    fail("prefetch fills not a min-heap");
 
   // The shared memory system's fill frontier (covers hardware-prefetcher
   // fills too); no-op when event tracking is off.

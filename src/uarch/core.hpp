@@ -14,29 +14,33 @@
 //
 // The issue stage is textbook wakeup/select (Tomasulo): each window entry
 // counts its outstanding source operands and is linked into its producers'
-// consumer lists; a completion drains from the completion heap and wakes
+// consumer lists; a completion drains from the completion wheel and wakes
 // its consumers; an entry whose count reaches zero joins an age-ordered
 // ready set, and select walks only that set, oldest first.  Per-cycle
 // issue cost is O(ready + woken), not O(window).  The other frontiers
-// (per-queue pending-write cursors, a per-8-byte-line map of in-window
-// stores) likewise replace window scans — see docs/MACHINE.md "Hot-path
-// data structures".  `debug_check_invariants` recomputes every frontier
-// by brute force and throws on disagreement; the randomized scheduler
-// tests and the machine-level invariant test call it every step.
+// (per-queue pending-write cursors, a program-order ring of in-window
+// stores behind a per-line counting filter) likewise replace window scans,
+// and every one lives in fixed storage sized by the 64-entry window, so
+// the per-op path never allocates — see docs/MACHINE.md "Hot-path data
+// structures".  `debug_check_invariants` recomputes every frontier by
+// brute force and throws on disagreement; the randomized scheduler tests
+// and the machine-level invariant test call it every step.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "diag/deadlock.hpp"
 #include "mem/memory_system.hpp"
+#include "uarch/completion_wheel.hpp"
 #include "uarch/dyn_op.hpp"
 #include "uarch/fu_pool.hpp"
 #include "uarch/static_op.hpp"
 #include "uarch/timed_fifo.hpp"
+#include "uarch/window_ring.hpp"
 
 namespace hidisc::uarch {
 
@@ -151,12 +155,12 @@ class OoOCore {
   // scheduler.
   void account_idle_cycles(std::uint64_t now, std::uint64_t delta);
 
-  // Mispredicted branches that reached resolution since the last call.
-  std::vector<ResolvedBranch> take_resolved_branches();
-  // Cheap guard so the machine only pays the take/move when one resolved.
-  [[nodiscard]] bool has_resolved() const noexcept {
-    return !resolved_.empty();
+  // Mispredicted branches that reached resolution since the last
+  // clear_resolved(); the buffer keeps its capacity across clears.
+  [[nodiscard]] std::span<const ResolvedBranch> resolved() const noexcept {
+    return resolved_;
   }
+  void clear_resolved() noexcept { resolved_.clear(); }
 
   [[nodiscard]] const CoreConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const CoreStats& stats() const noexcept { return stats_; }
@@ -170,8 +174,7 @@ class OoOCore {
   // Fire-and-forget prefetch fills still in flight at `now` (prefetch-only
   // cores; bounded by CoreConfig::prefetch_buffer).
   [[nodiscard]] std::size_t prefetch_occupancy(std::uint64_t now) const {
-    prune_prefetch_fills(now);
-    return prefetch_fills_.size();
+    return static_cast<std::size_t>(prefetch_slots_.busy(now));
   }
 
   // Forensics: why the oldest op in the core cannot move at `now`.
@@ -187,9 +190,10 @@ class OoOCore {
   };
   [[nodiscard]] StallProbe probe_oldest_stall(std::uint64_t now) const;
 
-  // Recomputes every incremental frontier (completion heap, source counts,
-  // consumer links, ready and unissued sets, per-queue push cursors, store
-  // map, mem-op count) by brute-force window scan and throws
+  // Recomputes every incremental frontier (completion wheel, source
+  // counts, consumer links, ready and unissued sets, per-queue push
+  // cursors, store ring and filter, mem-op count) by brute-force window
+  // scan and throws
   // std::logic_error on any disagreement.  Test-only: valid after a tick
   // (or for a drained core); the invariant tests call it every step.
   void debug_check_invariants(std::uint64_t now) const;
@@ -228,9 +232,6 @@ class OoOCore {
     bool no_conflict = false;
     DynOp op;
   };
-  // Completion-heap keys: (complete_cycle << kSlotBits) | ring slot, so the
-  // heap orders by cycle and the drain knows which entry completed.
-  static constexpr unsigned kSlotBits = 6;
 
   // The window lives in a power-of-two ring (`slots_`), so resolving a seq
   // to its entry — the single hottest operation of the issue path — is two
@@ -272,7 +273,7 @@ class OoOCore {
   [[nodiscard]] int queue_slot(const TimedFifo* q) const noexcept {
     return q == queues_.ldq ? 0 : q == queues_.sdq ? 1 : 2;
   }
-  // Memory disambiguation against the per-line store map: whether the load
+  // Memory disambiguation against the store ring: whether the load
   // `seq` at `line` must wait for an older incomplete store, and whether a
   // completed older store forwards to it.
   struct Disambiguation {
@@ -282,8 +283,8 @@ class OoOCore {
   [[nodiscard]] Disambiguation check_older_stores(std::uint64_t line,
                                                   std::uint64_t seq,
                                                   std::uint64_t now) const;
-  // Drops prefetch-fill slots whose fills have landed by `now`.
-  void prune_prefetch_fills(std::uint64_t now) const;
+  // Whether an in-window store writes `line` (filter first, then the ring).
+  [[nodiscard]] bool store_in_window(std::uint64_t line) const noexcept;
 
   CoreConfig cfg_;
   mem::MemorySystem* memsys_;
@@ -320,14 +321,17 @@ class OoOCore {
   std::vector<std::uint64_t> last_writer_;
 
   FuPool int_alu_, int_muldiv_, fp_alu_, fp_muldiv_, mem_ports_;
+  // Prefetch-only cores: one "unit" per in-flight fire-and-forget fill
+  // (cfg_.prefetch_buffer of them), busy until the fill lands.
+  FuPool prefetch_slots_;
 
   // Incremental frontiers (all invariants in docs/MACHINE.md) ------------
   //
-  // Min-heap of completion keys (see kSlotBits) over issued entries that
-  // have not completed yet.  tick() drains every key <= now first, waking
-  // the completed entries' consumers, so between ticks the top is exactly
-  // the earliest future completion.
-  std::vector<std::uint64_t> completion_events_;
+  // (complete_cycle, ring slot) of every issued entry that has not
+  // completed yet.  tick() drains every event <= now first, waking the
+  // completed entries' consumers, so between ticks the earliest held event
+  // is exactly the earliest future completion.
+  CompletionWheel completion_events_;
   // One bit per ring slot.  `unissued_`: window entries not yet issued.
   // `ready_`: those among them whose sources are all complete.  Walking a
   // set rotated to start at window_head_ visits it in program order.
@@ -341,13 +345,21 @@ class OoOCore {
   }
   // Per queue slot: seqs of entries with an unperformed queue write, in
   // program order.  Front = the oldest write do_pushes must drain next.
-  std::deque<std::uint64_t> pending_push_[3];
-  // 8-byte line -> seqs of in-window stores to it, ascending.  Loads
-  // disambiguate against their own line's bucket instead of the window.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> stores_by_line_;
-  // Completion times of in-flight fire-and-forget prefetch fills
-  // (prefetch-only cores); a min-heap bounded by cfg_.prefetch_buffer.
-  mutable std::vector<std::uint64_t> prefetch_fills_;
+  WindowRing<std::uint64_t> pending_push_[3];
+  // In-window stores in program order (front = oldest, the next to
+  // commit), each with its 8-byte line.  `store_filter_` counts them per
+  // hashed line (see filter_index): a zero count proves no in-window store
+  // writes a line, so most loads never walk the ring.
+  struct StoreRef {
+    std::uint64_t line = 0;
+    std::uint64_t seq = 0;
+  };
+  WindowRing<StoreRef> stores_;
+  static constexpr std::size_t kStoreFilter = 256;
+  [[nodiscard]] static std::size_t filter_index(std::uint64_t line) noexcept {
+    return static_cast<std::size_t>(line >> 3) & (kStoreFilter - 1);
+  }
+  std::array<std::uint8_t, kStoreFilter> store_filter_{};
 
   CoreStats stats_;
   IssueWork work_;

@@ -3,22 +3,20 @@
 // Table 1: 4 integer ALUs + 1 integer MUL/DIV per processor; 4 FP adders +
 // 1 FP MUL/DIV on the superscalar and the CP.  ALU/FP-add/FP-mul units are
 // pipelined (busy one cycle per issue); divide units are unpipelined (busy
-// for the whole operation).
+// for the whole operation).  The CMP's prefetch buffer is a pool too: one
+// "unit" per in-flight fire-and-forget fill, busy until the fill lands.
 //
-// Units are interchangeable, so the pool keeps no per-unit state: only a
-// min-heap of the release times of currently-busy units, lazily pruned as
-// time advances.  `available`/`acquire` are O(1) amortized and
-// `next_release` reads the heap top instead of scanning every unit — the
-// event-skip scheduler calls it on every stalled step.  The heap is sized
-// once to the unit count, so no member ever allocates after construction
-// (the noexcept promises are real).  Queries assume `now` never moves
-// backwards, which the cores guarantee.
+// Units are interchangeable, so the pool keeps only each unit's release
+// time in a fixed array: a unit whose release time is <= `now` is free.
+// Pools hold a handful of units, so a linear scan of the array beats any
+// ordered structure, and nothing ever allocates or needs pruning.
+// Queries assume `now` never moves backwards, which the cores guarantee.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
-#include <functional>
-#include <vector>
+#include <stdexcept>
 
 #include "uarch/event.hpp"
 
@@ -26,50 +24,54 @@ namespace hidisc::uarch {
 
 class FuPool {
  public:
+  static constexpr int kMaxUnits = 64;
+
   FuPool() = default;
   explicit FuPool(int units) : units_(units) {
-    busy_.reserve(static_cast<std::size_t>(units));
+    if (units < 0 || units > kMaxUnits)
+      throw std::invalid_argument("FuPool: unit count outside [0, 64]");
   }
 
   [[nodiscard]] int size() const noexcept { return units_; }
 
   // True if some unit can accept an operation this cycle.
   [[nodiscard]] bool available(std::uint64_t now) const noexcept {
-    prune(now);
-    return busy_.size() < static_cast<std::size_t>(units_);
+    return std::any_of(release_.begin(), release_.begin() + units_,
+                       [now](std::uint64_t r) { return r <= now; });
   }
 
   // Claims a unit for `busy` cycles; returns false when none is free.
   bool acquire(std::uint64_t now, int busy) noexcept {
-    prune(now);
-    if (busy_.size() >= static_cast<std::size_t>(units_)) return false;
-    busy_.push_back(now + static_cast<std::uint64_t>(busy));
-    std::push_heap(busy_.begin(), busy_.end(), std::greater<>{});
-    return true;
+    for (int u = 0; u < units_; ++u) {
+      if (release_[u] <= now) {
+        release_[u] = now + static_cast<std::uint64_t>(busy);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Units still busy at `now`.
+  [[nodiscard]] int busy(std::uint64_t now) const noexcept {
+    return static_cast<int>(
+        std::count_if(release_.begin(), release_.begin() + units_,
+                      [now](std::uint64_t r) { return r > now; }));
   }
 
   // Earliest cycle strictly after `now` at which a busy unit frees up;
   // kNoEvent when every unit is already free (or the pool is empty).
   [[nodiscard]] std::uint64_t next_release(std::uint64_t now) const noexcept {
-    prune(now);
-    return busy_.empty() ? kNoEvent : busy_.front();
+    std::uint64_t ev = kNoEvent;
+    for (int u = 0; u < units_; ++u)
+      if (release_[u] > now) ev = std::min(ev, release_[u]);
+    return ev;
   }
 
-  void reset() noexcept { busy_.clear(); }
+  void reset() noexcept { release_.fill(0); }
 
  private:
-  // Units whose release time has passed are free again; drop them.
-  void prune(std::uint64_t now) const noexcept {
-    while (!busy_.empty() && busy_.front() <= now) {
-      std::pop_heap(busy_.begin(), busy_.end(), std::greater<>{});
-      busy_.pop_back();
-    }
-  }
-
   int units_ = 0;
-  // Min-heap of busy units' release times; `mutable` for lazy pruning
-  // under const queries (pruning never changes observable behaviour).
-  mutable std::vector<std::uint64_t> busy_;
+  std::array<std::uint64_t, kMaxUnits> release_{};  // 0 = never busy
 };
 
 }  // namespace hidisc::uarch

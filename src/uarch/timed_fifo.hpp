@@ -6,13 +6,16 @@
 // paper's 32-entry queues; producers stall at commit when the queue is
 // full, consumers stall at issue when it is empty — those two stalls are
 // what bound the slip distance.
+//
+// The entries live in a power-of-two ring allocated once at construction,
+// so push/pop are index math and never touch the allocator.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "uarch/event.hpp"
 
@@ -37,41 +40,48 @@ class TimedFifo {
   };
 
   TimedFifo(std::string name, std::size_t capacity)
-      : name_(std::move(name)), capacity_(capacity) {}
+      : name_(std::move(name)), capacity_(capacity) {
+    std::size_t ring = 1;
+    while (ring < capacity) ring <<= 1;
+    slots_.resize(ring);
+    mask_ = ring - 1;
+  }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t size() const noexcept { return q_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return q_.empty(); }
-  [[nodiscard]] bool full() const noexcept { return q_.size() >= capacity_; }
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  [[nodiscard]] bool full() const noexcept { return count_ >= capacity_; }
 
   bool push(Entry e) {
     if (full()) return false;
-    q_.push_back(e);
+    slots_[(head_ + count_) & mask_] = e;
+    ++count_;
     ++stats_.pushes;
-    stats_.max_occupancy = std::max(stats_.max_occupancy, q_.size());
+    stats_.max_occupancy = std::max(stats_.max_occupancy, count_);
     return true;
   }
 
   // The head entry if its data is consumable at `now`.
   [[nodiscard]] const Entry* front_ready(std::uint64_t now) const {
-    if (q_.empty() || q_.front().ready > now) return nullptr;
-    return &q_.front();
+    if (count_ == 0 || slots_[head_].ready > now) return nullptr;
+    return &slots_[head_];
   }
 
   // The head entry regardless of readiness — forensic use (deadlock
   // snapshots need the head's ready time even when it is in the future).
   [[nodiscard]] const Entry* head() const {
-    return q_.empty() ? nullptr : &q_.front();
+    return count_ == 0 ? nullptr : &slots_[head_];
   }
 
   // Popping an empty queue is a core-model bug (consumers must gate on
-  // front_ready); fail loudly instead of reading a dead deque front.
+  // front_ready); fail loudly instead of reading a dead ring slot.
   Entry pop() {
-    if (q_.empty())
+    if (count_ == 0)
       throw std::logic_error(name_ + ": pop on empty queue");
-    Entry e = q_.front();
-    q_.pop_front();
+    const Entry e = slots_[head_];
+    head_ = (head_ + 1) & mask_;
+    --count_;
     ++stats_.pops;
     return e;
   }
@@ -93,21 +103,25 @@ class TimedFifo {
   // core — can change this queue's observable state).
   [[nodiscard]] std::uint64_t next_ready_event(std::uint64_t now) const
       noexcept {
-    if (q_.empty() || q_.front().ready <= now) return kNoEvent;
-    return q_.front().ready;
+    if (count_ == 0 || slots_[head_].ready <= now) return kNoEvent;
+    return slots_[head_].ready;
   }
 
   [[nodiscard]] const FifoStats& stats() const noexcept { return stats_; }
 
   void reset() {
-    q_.clear();
+    head_ = count_ = 0;
     stats_ = FifoStats{};
   }
 
  private:
   std::string name_;
   std::size_t capacity_;
-  std::deque<Entry> q_;
+  // Ring of pow2 >= capacity slots: head at head_, count_ live entries.
+  std::vector<Entry> slots_;
+  std::size_t mask_ = 0;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
   FifoStats stats_;
 };
 

@@ -299,9 +299,11 @@ TEST_F(CoreTest, MispredictedBranchReportsResolution) {
   op.mispredicted = true;
   ASSERT_TRUE(core.enqueue(op));
   drain(core);
-  const auto resolved = core.take_resolved_branches();
+  const auto resolved = core.resolved();
   ASSERT_EQ(resolved.size(), 1u);
   EXPECT_EQ(resolved[0].trace_pos, op.trace_pos);
+  core.clear_resolved();
+  EXPECT_TRUE(core.resolved().empty());
 }
 
 TEST_F(CoreTest, LsqCapBoundsMemOpsInWindow) {

@@ -378,6 +378,26 @@ TEST(LabRunner, WarmCacheSimulatesNothingAndMatches) {
 
 // Determinism regression: the same (workload, preset) simulated twice in
 // one process yields identical cycles/IPC/cache statistics.
+// The plan-level throughput counts only cells that simulated with a
+// measured time: a cell with wall_ms == 0 (no measured time) adds neither
+// cycles nor time, just like cache hits and failed cells.
+TEST(LabRunner, SimCyclesPerSecSkipsCellsWithoutMeasuredTime) {
+  std::vector<lab::CellResult> cells(4);
+  cells[0].result.cycles = 1000;
+  cells[0].wall_ms = 10.0;
+  cells[1].result.cycles = 5000;  // simulated, but no measured time
+  cells[1].wall_ms = 0.0;
+  cells[2].result.cycles = 7000;
+  cells[2].from_cache = true;
+  cells[3].result.cycles = 9000;
+  cells[3].wall_ms = 5.0;
+  cells[3].error = "sim";
+  EXPECT_DOUBLE_EQ(lab::sim_cycles_per_sec(cells), 100000.0);
+  cells.resize(2);
+  cells[0].wall_ms = 0.0;
+  EXPECT_EQ(lab::sim_cycles_per_sec(cells), 0.0);
+}
+
 TEST(LabRunner, RepeatedSimulationIsDeterministic) {
   const auto w = lab::spec("Update", workloads::Scale::Test).build();
   const auto comp = compiler::compile(w.program);

@@ -168,6 +168,33 @@ TEST(SchedulerInvariants, EveryCoreAfterEveryMachineStep) {
   }
 }
 
+TEST(SchedulerInvariants, CompletionsBeyondTheWheelSpan) {
+  // DRAM latency far past the completion wheel's span: every miss waits in
+  // the wheel's overflow heap and migrates into the wheel as time nears
+  // it.  The brute-force checker runs after every step, and the event-skip
+  // Result must equal the lock-stepped one.
+  MachineConfig cfg;
+  cfg.mem = mem::MemConfig::with_latencies(16, 2000);
+  ASSERT_GT(2000u, uarch::CompletionWheel::kSpan);
+  const Prepared p = prepare(workloads::make_pointer(workloads::Scale::Test));
+  for (const Preset preset : kAllPresets) {
+    const bool sep = machine::uses_separated_binary(preset);
+    MachineConfig skip_cfg = cfg;
+    skip_cfg.scheduler = SchedulerKind::EventSkip;
+    Machine m(sep ? p.comp.separated : p.comp.original,
+              sep ? p.sep_trace : p.orig_trace, preset, skip_cfg);
+    machine::MachineTestAccess::check_invariants_each_step(m);
+    machine::Result skip;
+    ASSERT_NO_THROW(skip = m.run()) << machine::preset_name(preset);
+    EXPECT_GT(m.sched_stats().max_skip, uarch::CompletionWheel::kSpan)
+        << machine::preset_name(preset);
+    const auto lock = run_with(p, preset, SchedulerKind::Lockstep, cfg);
+    EXPECT_TRUE(skip == lock)
+        << machine::preset_name(preset) << ": event-skip {" << skip.cycles
+        << " cycles} vs lockstep {" << lock.cycles << " cycles}";
+  }
+}
+
 TEST(Scheduler, SelectWalkVisitsStayProportionalToIssues) {
   // Deterministic work counters: select visits only ready entries, so on
   // the pointer-chasing cells — where most of the window waits on a load —

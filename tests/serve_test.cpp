@@ -454,6 +454,22 @@ TEST(ServeChaos, DefaultPlanAndConnArePassThrough) {
   EXPECT_EQ(*got, f);
 }
 
+// A frame already waiting on the socket is read even when the timeout is
+// shorter than the time it takes to reach the first poll.
+TEST(ServeTransport, ShortTimeoutReadsBytesAlreadyWaiting) {
+  SocketPair sp = make_socketpair();
+  const Frame f = frame(MsgType::Ping, "");
+  sp.parent.send_frame(f);
+  bool timed_out = true;
+  const auto got = sp.child.recv_frame_for(1, &timed_out);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(*got, f);
+  // Nothing more waiting: the same short timeout now reports a timeout.
+  EXPECT_FALSE(sp.child.recv_frame_for(1, &timed_out).has_value());
+  EXPECT_TRUE(timed_out);
+}
+
 // --- fault injection over a real socketpair --------------------------------
 
 TEST(ServeChaos, SendSideDropLooksLikePeerLossNeverCorruption) {

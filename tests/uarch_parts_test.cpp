@@ -1,12 +1,16 @@
 // Unit tests for the small µarch building blocks: timed FIFOs (LDQ/SDQ/SCQ
-// semantics) and functional-unit pools.
+// semantics), functional-unit pools and the completion wheel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <set>
+#include <utility>
 #include <random>
 #include <stdexcept>
 #include <vector>
 
+#include "uarch/completion_wheel.hpp"
 #include "uarch/fu_pool.hpp"
 #include "uarch/timed_fifo.hpp"
 
@@ -107,32 +111,72 @@ TEST(FuPool, SizeReportsUnitCount) {
   EXPECT_EQ(FuPool().size(), 0);
 }
 
-// The pool keeps a lazily-pruned min-heap of release times; this model is
-// the obvious per-unit array with linear scans.  Every query the issue
-// path makes (available / acquire / next_release) must
-// agree with it under a random schedule of pipelined and unpipelined
-// acquires with time always moving forward.
-struct RefPool {
-  explicit RefPool(int units) : release(static_cast<std::size_t>(units), 0) {}
-  std::vector<std::uint64_t> release;  // per-unit: busy until this cycle
+// Table 1's integer MUL/DIV unit is unpipelined: a 20-cycle divide holds
+// it for all 20 cycles.  The release schedule below is worked by hand.
+TEST(FuPool, UnpipelinedDividesFollowHandComputedSchedule) {
+  FuPool one(1);
+  EXPECT_TRUE(one.acquire(0, 20));    // busy [0, 20)
+  EXPECT_EQ(one.next_release(0), 20u);
+  EXPECT_FALSE(one.acquire(5, 20));   // still dividing
+  EXPECT_EQ(one.next_release(5), 20u);
+  EXPECT_FALSE(one.available(19));
+  EXPECT_TRUE(one.acquire(20, 20));   // freed at 20: busy [20, 40)
+  EXPECT_EQ(one.next_release(20), 40u);
+  EXPECT_EQ(one.next_release(39), 40u);
+  EXPECT_TRUE(one.available(40));
+  EXPECT_EQ(one.next_release(40), kNoEvent);
 
-  bool available(std::uint64_t now) const {
-    return std::any_of(release.begin(), release.end(),
-                       [&](std::uint64_t r) { return r <= now; });
+  FuPool two(2);
+  EXPECT_TRUE(two.acquire(0, 20));    // unit A until 20
+  EXPECT_TRUE(two.acquire(3, 20));    // unit B until 23
+  EXPECT_FALSE(two.acquire(10, 20));
+  EXPECT_EQ(two.busy(10), 2);
+  EXPECT_EQ(two.next_release(10), 20u);
+  EXPECT_TRUE(two.acquire(20, 20));   // A again, until 40
+  EXPECT_EQ(two.next_release(20), 23u);
+  EXPECT_TRUE(two.acquire(23, 20));   // B again, until 43
+  EXPECT_EQ(two.next_release(23), 40u);
+  EXPECT_FALSE(two.acquire(25, 20));
+  EXPECT_EQ(two.next_release(41), 43u);
+  EXPECT_EQ(two.busy(41), 1);
+  EXPECT_EQ(two.next_release(43), kNoEvent);
+  EXPECT_EQ(two.busy(43), 0);
+}
+
+TEST(FuPool, RejectsMoreUnitsThanItHolds) {
+  EXPECT_THROW(FuPool(FuPool::kMaxUnits + 1), std::invalid_argument);
+  EXPECT_THROW(FuPool(-1), std::invalid_argument);
+}
+
+// The pool scans a fixed array of per-unit release times; this model is
+// the structure it replaced, a lazily-pruned min-heap of the busy units'
+// release times.  Every query the issue path makes (available / acquire /
+// next_release) must agree with it under a random schedule of pipelined
+// and unpipelined acquires with time always moving forward.
+struct RefPool {
+  explicit RefPool(int units) : units(units) {}
+  int units;
+  std::vector<std::uint64_t> busy;  // min-heap of release times
+
+  void prune(std::uint64_t now) {
+    while (!busy.empty() && busy.front() <= now) {
+      std::pop_heap(busy.begin(), busy.end(), std::greater<>{});
+      busy.pop_back();
+    }
   }
-  bool acquire(std::uint64_t now, int busy) {
-    for (auto& r : release)
-      if (r <= now) {
-        r = now + static_cast<std::uint64_t>(busy);
-        return true;
-      }
-    return false;
+  bool available(std::uint64_t now) {
+    prune(now);
+    return busy.size() < static_cast<std::size_t>(units);
   }
-  std::uint64_t next_release(std::uint64_t now) const {
-    std::uint64_t best = kNoEvent;
-    for (const auto r : release)
-      if (r > now) best = std::min(best, r);
-    return best;
+  bool acquire(std::uint64_t now, int b) {
+    if (!available(now)) return false;
+    busy.push_back(now + static_cast<std::uint64_t>(b));
+    std::push_heap(busy.begin(), busy.end(), std::greater<>{});
+    return true;
+  }
+  std::uint64_t next_release(std::uint64_t now) {
+    prune(now);
+    return busy.empty() ? kNoEvent : busy.front();
   }
 };
 
@@ -163,6 +207,52 @@ TEST(FuPool, AgreesWithLinearScanModelUnderRandomSchedule) {
       EXPECT_EQ(pool.next_release(now), ref.next_release(now))
           << "step " << step;
     }
+  }
+}
+
+// The wheel against an ordered set of (cycle, slot) pairs: random
+// latencies up to four times the span (so events start in the overflow
+// heap and migrate), random time steps up to twice the span (so one drain
+// can cross the whole wheel), one event in flight per slot.
+TEST(CompletionWheel, AgreesWithOrderedModelAcrossTheSpan) {
+  constexpr std::uint64_t kSpan = CompletionWheel::kSpan;
+  CompletionWheel wheel;
+  std::set<std::pair<std::uint64_t, unsigned>> model;
+  std::uint64_t in_flight = 0;  // slot bitmap
+  std::mt19937_64 rng(0x5EEDu);
+  std::uint64_t now = 0;
+  for (int step = 0; step < 20000; ++step) {
+    // Drain: every event <= now is delivered, in cycle then slot order.
+    std::vector<unsigned> got, want;
+    wheel.drain(now, [&](unsigned slot) { got.push_back(slot); });
+    while (!model.empty() && model.begin()->first <= now) {
+      want.push_back(model.begin()->second);
+      in_flight &= ~(1ull << model.begin()->second);
+      model.erase(model.begin());
+    }
+    ASSERT_EQ(got, want) << "step " << step << " now " << now;
+    // Schedule a few new events on free slots.
+    for (int k = static_cast<int>(rng() % 4); k > 0; --k) {
+      const auto slot = static_cast<unsigned>(rng() % 64);
+      if (in_flight >> slot & 1) continue;
+      const std::uint64_t lat =
+          rng() % 8 == 0 ? 1 + rng() % (4 * kSpan) : 1 + rng() % 24;
+      wheel.schedule(now + lat, slot);
+      model.emplace(now + lat, slot);
+      in_flight |= 1ull << slot;
+    }
+    ASSERT_NO_THROW(wheel.debug_check()) << "step " << step;
+    ASSERT_EQ(wheel.earliest(),
+              model.empty() ? kNoEvent : model.begin()->first)
+        << "step " << step;
+    auto events = wheel.events();
+    std::vector<std::uint64_t> want_events;
+    for (const auto& [cycle, slot] : model)
+      want_events.push_back(cycle << 6 | slot);
+    std::sort(events.begin(), events.end());
+    std::sort(want_events.begin(), want_events.end());
+    ASSERT_EQ(events, want_events) << "step " << step;
+    now += rng() % 16 == 0 ? rng() % (2 * kSpan) : rng() % 3;
   }
 }
 
