@@ -136,7 +136,7 @@ BENCHMARK(BM_HidiscCycleSim);
 // Whole-machine throughput: the decoupled CP+AP machine running the
 // memory-bound Matrix stressmark at the Fig. 10 high-latency memory point
 // (L2 16 / DRAM 160), where most cycles find every core stalled behind a
-// miss.  This is the end-to-end number the CI perf-smoke job gates on
+// miss.  This is the end-to-end number CI's perf job gates on
 // (tools/perf_gate.py against bench/baseline.json).  Arg 0 selects the
 // scheduler, so /0 vs /1 shows the event-skip speedup directly.
 void BM_FullMachine(benchmark::State& state) {

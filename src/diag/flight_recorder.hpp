@@ -5,9 +5,9 @@
 // only after a failure: the DeadlockReport attaches the tail so a
 // watchdog abort carries the machine's last moves, not just its final
 // frozen state.  Recording is a single struct store into a preallocated
-// power-of-two ring — cheap enough to stay enabled in every run (the
-// perf-smoke CI gate holds the event-skip throughput within its band
-// with the recorder on).
+// power-of-two ring — cheap enough to stay enabled in every run (CI's
+// perf gate holds the event-skip throughput within its band with the
+// recorder on).
 #pragma once
 
 #include <cstddef>

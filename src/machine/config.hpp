@@ -142,8 +142,8 @@ struct MachineConfig {
 
   // Flight-recorder depth: how many recent scheduler transitions the
   // always-on ring buffer retains for the DeadlockReport (rounded up to a
-  // power of two).  Recording is one struct store per event step; the
-  // perf-smoke gate verifies the overhead stays inside its band.
+  // power of two).  Recording is one struct store per event step; CI's
+  // perf gate verifies the overhead stays inside its band.
   std::size_t flight_recorder_depth = 64;
 
   // Time-advance strategy; excluded from lab content keys because both

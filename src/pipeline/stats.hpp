@@ -8,7 +8,7 @@
 // consumers hit the result cache — or nodes poisoned by an upstream
 // failure.  These counters are the observable contract of cache
 // invalidation: a machine-preset-only change must show trace.rebuilt == 0
-// (CI's pipeline-invalidation job asserts exactly that from the JSON
+// (tests/e2e/pipeline_invalidation.py asserts exactly that from the JSON
 // export).
 #pragma once
 

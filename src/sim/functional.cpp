@@ -301,8 +301,8 @@ bool Functional::step(TraceEntry* out) {
     case Opcode::FMUL: wf(canon_nan(fs1() * fs2())); break;
     case Opcode::FDIV: wf(canon_nan(fs1() / fs2())); break;
     case Opcode::FSQRT: wf(canon_nan(std::sqrt(fs1()))); break;
-    case Opcode::FMIN: wf(canon_nan(std::fmin(fs1(), fs2()))); break;
-    case Opcode::FMAX: wf(canon_nan(std::fmax(fs1(), fs2()))); break;
+    case Opcode::FMIN: wf(fmin_fmax(fs1(), fs2(), false)); break;
+    case Opcode::FMAX: wf(fmin_fmax(fs1(), fs2(), true)); break;
     case Opcode::FNEG: wf(-fs1()); break;
     case Opcode::FABS: wf(std::fabs(fs1())); break;
     case Opcode::FMOV: wf(fs1()); break;

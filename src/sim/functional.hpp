@@ -53,6 +53,16 @@ inline double canon_nan(double v) {
   return std::isnan(v) ? std::numeric_limits<double>::quiet_NaN() : v;
 }
 
+// FMIN/FMAX pin the two choices the C library's fmin/fmax leave open,
+// which let the two interpreters diverge in a sanitizer build: equal
+// operands (+0.0 and -0.0 included) return the second source, and one
+// NaN operand returns the other operand.  Two NaNs give the canonical NaN.
+inline double fmin_fmax(double a, double b, bool max) {
+  if (std::isnan(a)) return canon_nan(b);
+  if (std::isnan(b)) return a;
+  return (max ? a > b : a < b) ? a : b;
+}
+
 // One retired dynamic instruction.  24 bytes; a few million entries is the
 // expected scale for the DIS workloads.
 struct TraceEntry {

@@ -272,8 +272,8 @@ dispatch_loop:
   FPU(FMUL, canon_nan(a * b))
   FPU(FDIV, canon_nan(a / b))
   FPU(FSQRT, canon_nan(std::sqrt(a)))
-  FPU(FMIN, canon_nan(std::fmin(a, b)))
-  FPU(FMAX, canon_nan(std::fmax(a, b)))
+  FPU(FMIN, fmin_fmax(a, b, false))
+  FPU(FMAX, fmin_fmax(a, b, true))
   FPU(FNEG, -a)
   FPU(FABS, std::fabs(a))
   FPU(FMOV, a)

@@ -18,18 +18,13 @@ Usage: json_outputs.py HISA HILAB DEADLOCK_KERNEL
 """
 import json
 import os
-import subprocess
 import sys
-import tempfile
+
+from e2e_common import run, workdir
 
 
-def run(cmd, **kw):
-    return subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True, **kw)
-
-
-def check_deadlock_report(hisa, kernel, workdir):
-    path = os.path.join(workdir, "deadlock.json")
+def check_deadlock_report(hisa, kernel, wd):
+    path = os.path.join(wd, "deadlock.json")
     proc = run([hisa, "sim", kernel, "--machine", "ss", "--lockstep",
                 "--watchdog", "1", "--deadlock-json", path])
     print("hisa exit code:", proc.returncode)
@@ -97,8 +92,8 @@ def main():
     if len(sys.argv) != 4:
         sys.exit(__doc__)
     hisa, hilab, kernel = sys.argv[1:]
-    with tempfile.TemporaryDirectory() as workdir:
-        check_deadlock_report(hisa, kernel, workdir)
+    with workdir("json_outputs") as wd:
+        check_deadlock_report(hisa, kernel, wd)
     check_plan_export(hilab)
     check_bench_json(hilab)
     check_failed_cells_one_line_each(hilab)

@@ -11,34 +11,28 @@ cache directory:
   2. warm: nothing rebuilds, and the results are identical to cold;
   3. with `--override 'CP+AP:prefetch=nextline:deg1'`: no trace rebuilds,
      and only CP+AP cells re-simulate.
+
+The cold and warm runs write `--bench-json` legs PF_prefetch/cold and
+PF_prefetch/warm.
 """
-import json
 import os
-import subprocess
 import sys
-import tempfile
 
-
-def run_plan(hilab, cache, out, *extra):
-    proc = subprocess.run([hilab, "--plan", "prefetch", "--scale", "test",
-                           "--cache-dir", cache, "--quiet", "--json", out,
-                           *extra],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True)
-    assert proc.returncode == 0, proc.stderr
-    with open(out) as f:
-        return json.load(f)
+from e2e_common import results, run_plan, threads, workdir
 
 
 def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     hilab = sys.argv[1]
-    with tempfile.TemporaryDirectory() as workdir:
-        cache = os.path.join(workdir, "cache")
-        cold = run_plan(hilab, cache, os.path.join(workdir, "cold.json"))
-        warm = run_plan(hilab, cache, os.path.join(workdir, "warm.json"))
-        over = run_plan(hilab, cache, os.path.join(workdir, "override.json"),
+    with workdir("prefetch_plan") as wd:
+        plan = ["--plan", "prefetch", "--scale", "test", "--cache-dir",
+                os.path.join(wd, "cache"), "--threads", threads()]
+        cold = run_plan(hilab, wd, "prefetch-cold.json", *plan,
+                        bench="PF_prefetch/cold")
+        warm = run_plan(hilab, wd, "prefetch-warm.json", *plan,
+                        bench="PF_prefetch/warm")
+        over = run_plan(hilab, wd, "prefetch-override.json", *plan,
                         "--override", "CP+AP:prefetch=nextline:deg1")
 
     # Five curves per (workload, latency) point, +pf cells carry
@@ -57,9 +51,7 @@ def main():
     # Warm: full cache hit, results bit-identical to cold.
     assert warm["nodes"]["trace"]["rebuilt"] == 0, warm["nodes"]
     assert warm["nodes"]["sim"]["rebuilt"] == 0, warm["nodes"]
-    rc = [c.get("result") for c in cold["cells"]]
-    rw = [c.get("result") for c in warm["cells"]]
-    assert rc == rw, "cold/warm results diverged"
+    assert results(cold) == results(warm), "cold/warm results diverged"
 
     # Prefetcher override: ZERO trace rebuilds, and only the
     # overridden preset's cells re-simulated.  (A subset, not an

@@ -342,8 +342,8 @@ TEST(PipelineRunner, PresetOnlyChangeKeepsEveryTraceWarm) {
   const auto cold = lab::run_plan(plan, opt);
   ASSERT_EQ(cold.failed, 0u);
 
-  // Mutate the machine config of the HiDISC cells only (the CI job does
-  // the same via hilab --override): their sim nodes re-key and rerun,
+  // Mutate the machine config of the HiDISC cells only (the
+  // pipeline_invalidation e2e test does the same via hilab --override): their sim nodes re-key and rerun,
   // every other cell hits, and ZERO traces are re-traced — the HiDISC
   // cells' separated-binary traces load from the store instead.
   std::size_t mutated = 0;

@@ -2,16 +2,19 @@
 """Gate benchmark throughput against a checked-in baseline.
 
 Compares items_per_second of matching benchmarks between a baseline JSON
-(bench/baseline.json, committed) and a fresh google-benchmark JSON run:
+(bench/baseline.json, committed) and one or more fresh google-benchmark
+JSON runs, merged into one set of legs:
 
     bench_sim_throughput --benchmark_filter='^BM_FullMachine' \
         --benchmark_format=json > perf.json
     python3 tools/perf_gate.py bench/baseline.json perf.json \
         --max-regression 0.25
+    python3 tools/perf_gate.py bench/baseline.json bench-cold.json \
+        bench-warm.json
 
-Exits non-zero when any benchmark present in both files regresses by more
+Exits non-zero when any benchmark present in both sets regresses by more
 than --max-regression (fraction of baseline items/sec).  Benchmarks only in
-one file are reported but never fail the gate, so adding or renaming a
+one set are reported but never fail the gate, so adding or renaming a
 benchmark does not break CI before the baseline is refreshed.  A missing
 baseline file warns and passes for the same reason.
 
@@ -29,11 +32,13 @@ repo accumulates an items/sec history across commits:
     python3 tools/perf_gate.py bench/baseline.json perf.json \
         --append-trajectory BENCH_throughput.json --commit "$GITHUB_SHA"
 
-Each entry is {"commit", "benchmarks": {name: {"items_per_second",
-"unit"}}}, plus "label" when --label names the leg (one commit can
-contribute several legs: the machine microbenchmarks, the service-mode
-plan timings, the pipeline cold/warm timings).  "unit" is the rate's
-real unit, read from the benchmark's own label: a label starting
+Each entry is {"commit", "host", "nproc", "benchmarks": {name:
+{"items_per_second", "unit"}}}, plus "label" when --label names the leg
+(one commit can contribute several legs: the machine microbenchmarks, the
+service-mode plan timings, the pipeline cold/warm timings).  "host" and
+"nproc" name the machine that ran the legs (its network name and CPU
+count), so a reader can tell which entries are comparable.  "unit" is the
+rate's real unit, read from the benchmark's own label: a label starting
 "items = simulated cycles" gives "cycles/s", "items = cells" gives
 "cells/s", no such label gives "items/s".  Only cycle rates also carry
 "sim_cycles_per_sec".  The append happens even when the gate then
@@ -50,6 +55,7 @@ experiments still work.
 import argparse
 import json
 import os
+import platform
 import sys
 
 
@@ -74,9 +80,12 @@ def load_benchmarks(path):
     return {**plain, **medians}
 
 
-def load_items_per_second(path):
-    """Map benchmark name -> items_per_second from google-benchmark JSON."""
-    return {name: ips for name, (ips, _) in load_benchmarks(path).items()}
+def load_runs(paths):
+    """load_benchmarks over several run files, merged."""
+    legs = {}
+    for path in paths:
+        legs.update(load_benchmarks(path))
+    return legs
 
 
 def rate_unit(label):
@@ -110,7 +119,8 @@ def append_trajectory(path, commit, current, label=None):
         if leg["unit"] == "cycles/s":
             leg["sim_cycles_per_sec"] = ips
         benchmarks[name] = leg
-    entry = {"commit": commit, "benchmarks": benchmarks}
+    entry = {"commit": commit, "host": platform.node(),
+             "nproc": os.cpu_count(), "benchmarks": benchmarks}
     if label:
         entry["label"] = label
     history.append(entry)
@@ -125,7 +135,8 @@ def append_trajectory(path, commit, current, label=None):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline", help="checked-in baseline JSON")
-    ap.add_argument("current", help="fresh --benchmark_format=json output")
+    ap.add_argument("current", nargs="+",
+                    help="fresh --benchmark_format=json output files")
     ap.add_argument("--max-regression", type=float, default=0.25,
                     help="allowed fractional items/sec drop (default 0.25)")
     ap.add_argument("--update", action="store_true",
@@ -141,11 +152,11 @@ def main():
                          "pipeline) so one commit can carry several entries")
     args = ap.parse_args()
 
-    current_legs = load_benchmarks(args.current)
+    current_legs = load_runs(args.current)
     current = {name: ips for name, (ips, _) in current_legs.items()}
     if not current:
-        print(f"perf_gate: no items_per_second entries in {args.current}",
-              file=sys.stderr)
+        print(f"perf_gate: no items_per_second entries in "
+              f"{' '.join(args.current)}", file=sys.stderr)
         return 1
 
     if args.append_trajectory:
@@ -165,11 +176,13 @@ def main():
             return rc
 
     if args.update:
-        with open(args.current) as f:
-            data = json.load(f)
-        # Strip the run context: host-specific fields (date, load, CPU
-        # clock) would churn on every refresh without informing the gate.
-        data.pop("context", None)
+        # Only the benchmark entries: the run context's host-specific
+        # fields (date, load, CPU clock) would churn on every refresh
+        # without informing the gate.
+        data = {"benchmarks": []}
+        for path in args.current:
+            with open(path) as f:
+                data["benchmarks"] += json.load(f).get("benchmarks", [])
         with open(args.baseline, "w") as f:
             json.dump(data, f, indent=2)
             f.write("\n")
@@ -178,7 +191,8 @@ def main():
         return 0
 
     try:
-        baseline = load_items_per_second(args.baseline)
+        baseline = {name: ips for name, (ips, _)
+                    in load_benchmarks(args.baseline).items()}
     except FileNotFoundError:
         print(f"perf_gate: baseline {args.baseline} missing; passing "
               "(check one in via --update)", file=sys.stderr)
